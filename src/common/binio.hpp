@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace airch {
 
@@ -97,10 +98,16 @@ class ByteChecksum {
   int npend_ = 0;
 };
 
+/// Size of the one buffer every BinWriter and BinReader owns: scalar
+/// put/get calls copy into or out of it, and the file is written and read
+/// in chunks of at most this many bytes.
+inline constexpr std::size_t kBinIoBufferBytes = std::size_t{1} << 16;
+
 /// Buffered little-endian writer with a running checksum.
 /// Throws std::runtime_error if the file cannot be opened; finish()
-/// (also run by the destructor) AIRCH_CHECKs that every write reached the
-/// stream, so a full disk cannot produce a silently short file.
+/// (also run by the destructor) flushes the buffer and AIRCH_CHECKs that
+/// every write reached the stream, so a full disk cannot produce a
+/// silently short file.
 class BinWriter {
  public:
   explicit BinWriter(const std::string& path);
@@ -108,38 +115,55 @@ class BinWriter {
   BinWriter(const BinWriter&) = delete;
   BinWriter& operator=(const BinWriter&) = delete;
 
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
+  void put_u32(std::uint32_t v) { put_le(v, 4); }
+  void put_u64(std::uint64_t v) { put_le(v, 8); }
   void put_i32(std::int32_t v) { put_u32(static_cast<std::uint32_t>(v)); }
   void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
   /// IEEE-754 bit pattern; round-trips bit-exactly through get_f64().
   void put_f64(double v);
   void put_bytes(const void* data, std::size_t n);
 
-  /// Digest over every byte written so far.
-  [[nodiscard]] std::uint64_t checksum() const { return sum_.digest(); }
-
-  /// Appends the current digest as the (non-self-folded) trailer.
+  /// Appends the digest over every byte written so far as the
+  /// (non-self-folded) trailer.
   void put_trailer_checksum();
 
   /// Flushes and verifies the stream; safe to call more than once.
   void finish();
 
  private:
+  /// Appends the low `bytes` bytes of v, least significant first. Inline
+  /// so per-field writes compile to a few stores. Flushing early leaves
+  /// the file and its checksum unchanged: the digest does not depend on
+  /// how the byte stream is chunked.
+  void put_le(std::uint64_t v, int bytes) {
+    if (buf_.size() - used_ < 8) flush_buffer();
+    unsigned char* out = buf_.data() + used_;
+    for (int i = 0; i < bytes; ++i) {
+      out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFFu);
+    }
+    used_ += static_cast<std::size_t>(bytes);
+  }
+  /// Folds the buffered bytes into the checksum and hands them to the file.
+  void flush_buffer();
+
   std::ofstream out_;
   std::string path_;
-  ByteChecksum sum_;
+  ByteChecksum sum_;  // every byte already handed to out_
+  std::vector<unsigned char> buf_ = std::vector<unsigned char>(kBinIoBufferBytes);
+  std::size_t used_ = 0;  // bytes of buf_ not yet handed to out_
   bool finished_ = false;
 };
 
-/// Little-endian reader with a running checksum and hard truncation
-/// checks: every get_* AIRCH_CHECKs that the requested bytes exist.
+/// Buffered little-endian reader with a running checksum and hard
+/// truncation checks: every get_* AIRCH_CHECKs that the requested bytes
+/// exist. The checksum covers exactly the bytes consumed, never the
+/// read-ahead still in the buffer.
 class BinReader {
  public:
   explicit BinReader(const std::string& path);
 
-  [[nodiscard]] std::uint32_t get_u32();
-  [[nodiscard]] std::uint64_t get_u64();
+  [[nodiscard]] std::uint32_t get_u32() { return static_cast<std::uint32_t>(get_le(4)); }
+  [[nodiscard]] std::uint64_t get_u64() { return get_le(8); }
   [[nodiscard]] std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
   [[nodiscard]] std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
   [[nodiscard]] double get_f64();
@@ -147,28 +171,37 @@ class BinReader {
   /// Consumes `n` bytes (folding them into the checksum) without storing.
   void skip_bytes(std::uint64_t n);
 
-  /// Digest over every byte consumed since construction / reset_checksum().
-  [[nodiscard]] std::uint64_t checksum() const { return sum_.digest(); }
+  /// Digest over every byte consumed since construction or the last seek().
+  [[nodiscard]] std::uint64_t checksum() const;
 
   /// Reads the trailer digest and AIRCH_CHECKs it equals the running one.
   void verify_trailer_checksum();
 
-  [[nodiscard]] std::uint64_t file_size() const { return size_; }
   [[nodiscard]] std::uint64_t tell() const { return pos_; }
   /// Bytes between the cursor and end-of-file — the bound every count or
   /// length field read from the stream must be validated against before
   /// any allocation sized from it.
   [[nodiscard]] std::uint64_t remaining() const { return size_ - pos_; }
 
-  /// Repositions the cursor (absolute) and resets the running checksum —
-  /// used by streaming readers that validate the whole file once and then
-  /// re-serve regions of it.
+  /// Repositions the cursor (absolute), discards the buffer and resets
+  /// the running checksum — used by streaming readers that validate the
+  /// whole file once and then re-serve regions of it.
   void seek(std::uint64_t pos);
 
  private:
+  /// Reads `bytes` bytes as a little-endian integer.
+  std::uint64_t get_le(int bytes);
+  /// Copies (or, with out == nullptr, drops) the next n bytes.
+  void consume(unsigned char* out, std::uint64_t n);
+  /// Folds the consumed buffer into the checksum and reads the next one.
+  void refill();
+
   std::ifstream in_;
   std::string path_;
-  ByteChecksum sum_;
+  ByteChecksum sum_;  // every consumed byte before buf_[0]
+  std::vector<unsigned char> buf_ = std::vector<unsigned char>(kBinIoBufferBytes);
+  std::size_t head_ = 0;  // next unconsumed byte of buf_
+  std::size_t fill_ = 0;  // valid bytes in buf_; the file cursor sits at pos_ + fill_ - head_
   std::uint64_t size_ = 0;
   std::uint64_t pos_ = 0;
 };

@@ -121,30 +121,10 @@ std::uint64_t dataset_schema_hash(const std::vector<std::string>& feature_names,
 void write_binary_dataset(const Dataset& ds, const std::string& path) {
   BinWriter w(path);
   write_dataset_header(w, ds.feature_names(), ds.num_classes(), ds.size());
-  // Records are encoded into a reused multi-record scratch and emitted in
-  // ~64 KiB stream calls — the difference between this writer and CSV at
-  // 1M points is formatting cost plus per-field stream calls, and this
-  // path pays neither.
-  const auto nf = static_cast<std::size_t>(ds.num_features());
-  const std::size_t rec_bytes = nf * 8 + 4;
-  const std::size_t per_chunk = std::max<std::size_t>(1, kChunk / rec_bytes);
-  std::vector<unsigned char> buf(per_chunk * rec_bytes);
-  unsigned char* out = buf.data();
-  std::size_t buffered = 0;
   for (const DataPoint& p : ds.points()) {
-    for (const std::int64_t f : p.features) {
-      const auto v = static_cast<std::uint64_t>(f);
-      for (int i = 0; i < 8; ++i) *out++ = static_cast<unsigned char>((v >> (8 * i)) & 0xFFu);
-    }
-    const auto lab = static_cast<std::uint32_t>(p.label);
-    for (int i = 0; i < 4; ++i) *out++ = static_cast<unsigned char>((lab >> (8 * i)) & 0xFFu);
-    if (++buffered == per_chunk) {
-      w.put_bytes(buf.data(), buffered * rec_bytes);
-      out = buf.data();
-      buffered = 0;
-    }
+    for (const std::int64_t f : p.features) w.put_i64(f);
+    w.put_i32(p.label);
   }
-  if (buffered > 0) w.put_bytes(buf.data(), buffered * rec_bytes);
   w.put_trailer_checksum();
   w.finish();
 }
@@ -165,11 +145,9 @@ BatchStream::BatchStream(const std::string& path) : in_(path), path_(path) {
   num_classes_ = info.num_classes;
   count_ = info.count;
   records_start_ = info.records_start;
-  record_bytes_ = static_cast<std::uint64_t>(info.record_bytes.value());
-  recbuf_.resize(static_cast<std::size_t>(record_bytes_));
   // Validate the whole payload + trailer up front: corruption anywhere in
   // the file surfaces here, before a single batch is served.
-  in_.skip_bytes(count_ * record_bytes_);
+  in_.skip_bytes(count_ * static_cast<std::uint64_t>(info.record_bytes.value()));
   in_.verify_trailer_checksum();
   AIRCH_CHECK(in_.remaining() == 0, "trailing garbage after checksum in " + path);
   in_.seek(records_start_);
@@ -181,20 +159,11 @@ bool BatchStream::next_batch(std::size_t max_points, Dataset& out) {
   const std::uint64_t n = std::min<std::uint64_t>(left, max_points);
   if (n == 0) return false;
   out.reserve(static_cast<std::size_t>(n));
-  const auto nf = feature_names_.size();
   for (std::uint64_t i = 0; i < n; ++i) {
-    in_.get_bytes(recbuf_.data(), recbuf_.size());
     DataPoint p;
-    p.features.resize(nf);
-    const unsigned char* b = recbuf_.data();
-    for (std::size_t f = 0; f < nf; ++f) {
-      std::uint64_t v = 0;
-      for (int k = 0; k < 8; ++k) v |= static_cast<std::uint64_t>(*b++) << (8 * k);
-      p.features[f] = static_cast<std::int64_t>(v);
-    }
-    std::uint32_t lab = 0;
-    for (int k = 0; k < 4; ++k) lab |= static_cast<std::uint32_t>(*b++) << (8 * k);
-    p.label = static_cast<std::int32_t>(lab);
+    p.features.resize(feature_names_.size());
+    for (std::int64_t& f : p.features) f = in_.get_i64();
+    p.label = in_.get_i32();
     // The checksum was verified at open; this guards hand-crafted files
     // whose checksum is honest about out-of-range content.
     AIRCH_CHECK(p.label >= 0 && p.label < num_classes_, "label out of range in " + path_);

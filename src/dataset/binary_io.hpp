@@ -88,9 +88,7 @@ class BatchStream {
   int num_classes_ = 0;
   std::uint64_t count_ = 0;
   std::uint64_t records_start_ = 0;
-  std::uint64_t record_bytes_ = 0;
   std::uint64_t served_ = 0;
-  std::vector<unsigned char> recbuf_;
 };
 
 /// Concatenates shard files (each a complete binary dataset) into one, in

@@ -41,7 +41,7 @@ inline std::uint64_t case1_key_hash(const std::array<std::int64_t, 3>& key) {
 }  // namespace
 
 Case1SweepCache::Case1SweepCache(const ArrayDataflowSpace& space, const Simulator& sim,
-                                 std::size_t expected_workloads, std::size_t max_workloads)
+                                 std::size_t expected_workloads)
     : space_(&space),
       sim_(&sim),
       span_cap_(space.max_macs_exp() - 2 * space.min_exp() + 1),
@@ -49,18 +49,14 @@ Case1SweepCache::Case1SweepCache(const ArrayDataflowSpace& space, const Simulato
   AIRCH_ASSERT(span_cap_ >= 1);
   // The shard count is baked into the `hash >> 58` shard picks below.
   AIRCH_ASSERT(shards_.size() == 64);
-  if (max_workloads != 0) {
-    per_shard_cap_ = (max_workloads + shards_.size() - 1) / shards_.size();
-  }
   if (expected_workloads == 0) return;
   // Pre-size each shard for its share of the expected keys plus 25% slack
   // (key-to-shard assignment is hash-random, so shard counts fluctuate).
   // Writing the buffers now also faults their pages in, so the hot
   // labelling loop performs no rehash, no reallocation and no first-touch
   // page fault; the on-demand growth paths below remain as backstop.
-  std::size_t per_shard =
+  const std::size_t per_shard =
       expected_workloads / shards_.size() + expected_workloads / (shards_.size() * 4) + 1;
-  if (per_shard_cap_ != 0) per_shard = std::min(per_shard, per_shard_cap_);
   std::size_t cap = kInitialSlots;
   while (cap < 2 * per_shard) cap <<= 1;  // keep load factor <= 50%
   for (Shard& shard : shards_) {
@@ -78,48 +74,6 @@ Case1SweepCache::Case1SweepCache(const ArrayDataflowSpace& space, const Simulato
   }
 }
 
-std::uint32_t Case1SweepCache::evict_one(Shard& shard) const REQUIRES(shard.mu) {
-  const std::size_t mask = shard.slots.size() - 1;
-  std::size_t h = shard.hand & mask;
-  // Second-chance sweep over the slot array: a set reference bit buys the
-  // entry one more lap. Terminates because bits are only cleared — after
-  // one full lap every survivor is unreferenced.
-  for (std::size_t spins = 0;; ++spins) {
-    AIRCH_DCHECK(spins <= 2 * shard.slots.size(), "clock sweep must find a victim");
-    Slot& cand = shard.slots[h];
-    if (cand.key[0] != 0) {
-      if ((cand.span & kRefBit) != 0) {
-        cand.span &= kSpanMask;
-      } else {
-        break;
-      }
-    }
-    h = (h + 1) & mask;
-  }
-  const std::uint32_t freed = shard.slots[h].span & kSpanMask;
-  // Backward-shift deletion keeps linear probing exact without tombstones:
-  // walk the cluster after the hole; each slot moves back into the hole
-  // unless its home position lies cyclically within (hole, slot] — probing
-  // from its home would then never cross the hole to find it.
-  std::size_t hole = h;
-  std::size_t j = h;
-  for (;;) {
-    j = (j + 1) & mask;
-    Slot& next = shard.slots[j];
-    if (next.key[0] == 0) break;
-    const std::size_t home = case1_key_hash(next.key) & mask;
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      shard.slots[hole] = next;
-      hole = j;
-    }
-  }
-  shard.slots[hole] = Slot{};
-  --shard.used;
-  ++shard.evictions;
-  shard.hand = (h + 1) & mask;
-  return freed;
-}
-
 Case1SweepCache::Slot& Case1SweepCache::find_or_insert(Shard& shard, const Key& key,
                                                        std::uint64_t hash) const
     REQUIRES(shard.mu) {
@@ -133,15 +87,6 @@ Case1SweepCache::Slot& Case1SweepCache::find_or_insert(Shard& shard, const Key& 
   while (shard.slots[i].key[0] != 0) {
     if (shard.slots[i].key == key) return shard.slots[i];
     i = (i + 1) & mask;
-  }
-  std::uint32_t reuse_span = 0;
-  bool have_reuse = false;
-  if (per_shard_cap_ != 0 && shard.used >= per_shard_cap_) {
-    reuse_span = evict_one(shard);
-    have_reuse = true;
-    // The backward shift moved slots around; re-probe the insert position.
-    i = hash & mask;
-    while (shard.slots[i].key[0] != 0) i = (i + 1) & mask;
   }
   if (2 * (shard.used + 1) > shard.slots.size()) {
     // Grow at 50% load; rehashing moves 32-byte headers only, spans stay
@@ -163,17 +108,11 @@ Case1SweepCache::Slot& Case1SweepCache::find_or_insert(Shard& shard, const Key& 
   Slot& slot = shard.slots[i];
   slot.key = key;
   slot.max_exp = -1;
-  if (have_reuse) {
-    // Reuse the victim's span storage: bounded shards allocate no spans at
-    // steady state.
-    slot.span = reuse_span | kRefBit;
-  } else {
-    const std::size_t next_span = shard.spans.size() / static_cast<std::size_t>(span_cap_);
-    AIRCH_DCHECK(next_span < static_cast<std::size_t>(kSpanMask),
-                 "span index must fit the 31 low bits of Slot::span");
-    slot.span = static_cast<std::uint32_t>(next_span) | kRefBit;
-    shard.spans.resize(shard.spans.size() + static_cast<std::size_t>(span_cap_));
-  }
+  const std::size_t next_span = shard.spans.size() / static_cast<std::size_t>(span_cap_);
+  AIRCH_DCHECK(next_span <= std::numeric_limits<std::uint32_t>::max(),
+               "span index must fit Slot::span");
+  slot.span = static_cast<std::uint32_t>(next_span);
+  shard.spans.resize(shard.spans.size() + static_cast<std::size_t>(span_cap_));
   ++shard.used;
   return slot;
 }
@@ -303,10 +242,8 @@ ArrayDataflowSearch::Result Case1SweepCache::best(const GemmWorkload& w, int bud
   Shard& shard = shards_[hash >> 58];
   const MutexLock lock(shard.mu);
   Slot& slot = find_or_insert(shard, key, hash);
-  slot.span |= kRefBit;  // CLOCK reference: touched this sweep lap
   // Pointer computed after find_or_insert: inserting may reallocate spans.
-  Result* const best = shard.spans.data() + static_cast<std::size_t>(slot.span & kSpanMask) *
-                                                static_cast<std::size_t>(span_cap_);
+  Result* const best = shard.spans.data() + span_offset(slot);
   if (slot.max_exp >= e_cap) {
     ++shard.hits;
   } else {
@@ -334,12 +271,10 @@ void Case1SweepCache::prefetch(const GemmWorkload& w) const {
 
 CacheStats Case1SweepCache::stats() const {
   CacheStats s;
-  s.capacity = per_shard_cap_ == 0 ? 0 : per_shard_cap_ * shards_.size();
   for (const Shard& shard : shards_) {
     const MutexLock lock(shard.mu);
     s.hits += shard.hits;
     s.misses += shard.misses;
-    s.evictions += shard.evictions;
     s.entries += shard.used;
   }
   return s;
@@ -355,9 +290,8 @@ constexpr int kMaxLevels = 64;
 
 }  // namespace
 
-Case2SweepCache::Case2SweepCache(const BufferSizeSpace& space, const Simulator& sim,
-                                 std::size_t max_entries)
-    : space_(&space), sim_(&sim), memo_(0, max_entries) {
+Case2SweepCache::Case2SweepCache(const BufferSizeSpace& space, const Simulator& sim)
+    : space_(&space), sim_(&sim) {
   AIRCH_CHECK(space.levels() <= kMaxLevels,
               "Case2SweepCache supports at most 64 buffer levels");
 }
@@ -455,7 +389,7 @@ BufferSearch::Result Case2SweepCache::best(const GemmWorkload& w, const ArrayCon
   }
   const std::int64_t idx = std::min<std::int64_t>(limit_steps, 3 * space_->levels()) - 3;
   // Projection under the shard lock: copies one 24-byte Result out instead
-  // of the whole table, and stays safe when a bounded memo evicts tables.
+  // of the whole table.
   return memo_.get_or_use(
       Key{w.m, w.n, w.k, array.rows, array.cols, dataflow_index(array.dataflow), bandwidth},
       [&] { return build_table(w, array, bandwidth); },
@@ -511,8 +445,7 @@ struct ScheduleFold {
 
 }  // namespace
 
-Case3SweepCache::Case3SweepCache(const ScheduleSearch& search, std::size_t max_entries)
-    : search_(&search), memo_(0, max_entries), array_memo_(0, max_entries) {}
+Case3SweepCache::Case3SweepCache(const ScheduleSearch& search) : search_(&search) {}
 
 ScheduleSearch::Result Case3SweepCache::factored_best(
     const std::vector<GemmWorkload>& workloads) const {
@@ -523,7 +456,7 @@ ScheduleSearch::Result Case3SweepCache::factored_best(
   // Level-1 gather: per workload, the dataflow costs on every array —
   // 3 * n simulations, memoized across every vector the workload appears
   // in. Copied into a flat stack block so the fold below chases no memo
-  // internals (and holds no reference an eviction could invalidate).
+  // internals.
   std::array<ArrayCosts, kMaxArrays> costs;  // costs[wl][a]
   for (int wl = 0; wl < n; ++wl) {
     const GemmWorkload& w = workloads[static_cast<std::size_t>(wl)];
@@ -595,16 +528,17 @@ ScheduleSearch::Result Case3SweepCache::best(const std::vector<GemmWorkload>& wo
 
 // ------------------------------------------------------------ snapshots
 //
-// Shared layout (common/binio.hpp discipline):
-//   u64 magic | u32 version | u32 case id | u64 fingerprint | u64 entries
-//   <case-specific payload>
-//   u64 trailer checksum (FNV-1a over every preceding byte)
-// Loads parse and bounds-check the whole payload into staging buffers,
-// verify the trailer, and only then touch the cache — a corrupt file can
-// never leave a partially-applied (let alone wrong) cache behind. Every
-// count or length field is checked against the bytes actually remaining
-// before it sizes an allocation, so even a corruption the checksum has
-// not yet seen cannot balloon memory.
+// The one snapshot codec (common/binio.hpp discipline):
+//   u64 magic | u32 version | u32 case id | u64 fingerprint
+//   one or more sections, each: u64 count | count records
+//   u64 trailer checksum (over every preceding byte)
+// Each cache only encodes and decodes its own records. A load decodes and
+// bounds-checks the whole file into staging buffers and verifies the
+// trailer before the cache applies anything — a corrupt file can never
+// leave a partially-applied (let alone wrong) cache behind. Every count
+// or length field is checked against the bytes actually remaining before
+// it sizes an allocation, so even a corruption the checksum has not yet
+// seen cannot balloon memory.
 
 namespace {
 
@@ -612,21 +546,28 @@ namespace {
 /// three cases can never collide even on identical shape parameters.
 constexpr std::uint64_t kFingerprintSeed = 0x41495243ULL;  // "AIRC"
 
-void write_snapshot_header(BinWriter& w, std::uint32_t case_id, std::uint64_t fingerprint,
-                           std::uint64_t entries) {
+/// Header, then the cache's sections (`encode_sections(w)`), then trailer.
+template <typename EncodeSections>
+void write_snapshot(const std::string& path, std::uint32_t case_id, std::uint64_t fingerprint,
+                    const EncodeSections& encode_sections) {
+  BinWriter w(path);
   w.put_u64(kSnapshotMagic);
   w.put_u32(kSnapshotFormatVersion);
   w.put_u32(case_id);
   w.put_u64(fingerprint);
-  w.put_u64(entries);
+  encode_sections(w);
+  w.put_trailer_checksum();
+  w.finish();
 }
 
 /// Validates magic → version → case → fingerprint in that order (so the
-/// thrown message names the first thing that is actually wrong) and
-/// returns the entry count, bounds-checked against the file size using
-/// `min_entry_bytes` as the smallest legal per-entry footprint.
-std::uint64_t read_snapshot_header(BinReader& r, const std::string& path, std::uint32_t case_id,
-                                   std::uint64_t fingerprint, std::uint64_t min_entry_bytes) {
+/// thrown message names the first thing that is actually wrong), stages
+/// the cache's sections (`decode_sections(r)`), then verifies the trailer.
+/// Returns only for a file that passed every check.
+template <typename DecodeSections>
+void read_snapshot(const std::string& path, std::uint32_t case_id, std::uint64_t fingerprint,
+                   const DecodeSections& decode_sections) {
+  BinReader r(path);
   AIRCH_CHECK(r.get_u64() == kSnapshotMagic, "not a sweep-cache snapshot: " + path);
   const std::uint32_t version = r.get_u32();
   AIRCH_CHECK(version == kSnapshotFormatVersion,
@@ -636,11 +577,39 @@ std::uint64_t read_snapshot_header(BinReader& r, const std::string& path, std::u
   const std::uint64_t got_fp = r.get_u64();
   AIRCH_CHECK(got_fp == fingerprint,
               "snapshot fingerprint does not match this search space: " + path);
-  const std::uint64_t entries = r.get_u64();
-  AIRCH_CHECK(entries <= r.remaining() / min_entry_bytes,
-              "snapshot entry count exceeds file size: " + path);
-  return entries;
+  decode_sections(r);
+  r.verify_trailer_checksum();
 }
+
+/// Writes one section: the record count, then `encode(w, record)` each.
+template <typename Records, typename Encode>
+void put_section(BinWriter& w, const Records& records, const Encode& encode) {
+  w.put_u64(records.size());
+  for (const auto& record : records) encode(w, record);
+}
+
+/// Reads one section into a vector of `decode()` results. The count is
+/// bounded by the bytes left, at `min_record_bytes` per record, before it
+/// sizes the vector.
+template <typename Decode>
+auto get_section(BinReader& r, const std::string& path, std::uint64_t min_record_bytes,
+                 const Decode& decode) {
+  const std::uint64_t n = r.get_u64();
+  AIRCH_CHECK(n <= r.remaining() / min_record_bytes,
+              "snapshot entry count exceeds file size: " + path);
+  std::vector<decltype(decode())> records;
+  records.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t i = 0; i < n; ++i) records.push_back(decode());
+  return records;
+}
+
+/// Case-1 record: a workload key, its span's bound, and the offset of the
+/// span's first element in a flat staging vector.
+struct SpanRecord {
+  std::array<std::int64_t, 3> key{};
+  std::int32_t max_exp = 0;
+  std::size_t off = 0;
+};
 
 }  // namespace
 
@@ -655,96 +624,73 @@ std::uint64_t Case1SweepCache::fingerprint() const {
 
 SnapshotStats Case1SweepCache::save_snapshot(const std::string& path) const {
   const int lo = 2 * space_->min_exp();
-  // Stage under the shard locks first: the header's entry count and the
-  // payload are then one consistent cut even with queries in flight.
-  struct Entry {
-    Key key;
-    std::int32_t max_exp;
-    std::size_t off;  // first span element in `payload`
-  };
-  std::vector<Entry> entries;
+  // Stage under the shard locks first: the section count and the payload
+  // are then one consistent cut even with queries in flight.
+  std::vector<SpanRecord> records;
   std::vector<Result> payload;
   for (const Shard& shard : shards_) {
     const MutexLock lock(shard.mu);
     for (const Slot& slot : shard.slots) {
       if (slot.key[0] == 0 || slot.max_exp < lo) continue;
-      const Result* span =
-          shard.spans.data() + static_cast<std::size_t>(slot.span & kSpanMask) *
-                                   static_cast<std::size_t>(span_cap_);
-      entries.push_back({slot.key, slot.max_exp, payload.size()});
-      payload.insert(payload.end(), span,
-                     span + static_cast<std::size_t>(slot.max_exp - lo + 1));
+      const Result* span = shard.spans.data() + span_offset(slot);
+      records.push_back({slot.key, slot.max_exp, payload.size()});
+      payload.insert(payload.end(), span, span + (slot.max_exp - lo + 1));
     }
   }
-  BinWriter w(path);
-  write_snapshot_header(w, 1, fingerprint(), entries.size());
-  for (const Entry& e : entries) {
-    w.put_i64(e.key[0]);
-    w.put_i64(e.key[1]);
-    w.put_i64(e.key[2]);
-    w.put_i32(e.max_exp);
-    const auto count = static_cast<std::size_t>(e.max_exp - lo + 1);
-    for (std::size_t i = 0; i < count; ++i) {
-      const Result& res = payload[e.off + i];
-      w.put_i32(res.label);
-      w.put_i64(std::bit_cast<std::int64_t>(res.cycles));
-    }
-  }
-  w.put_trailer_checksum();
-  w.finish();
-  return {entries.size()};
+  write_snapshot(path, 1, fingerprint(), [&](BinWriter& w) {
+    put_section(w, records, [&](BinWriter& out, const SpanRecord& rec) {
+      for (const std::int64_t v : rec.key) out.put_i64(v);
+      out.put_i32(rec.max_exp);
+      for (int e = lo; e <= rec.max_exp; ++e) {
+        const Result& res = payload[rec.off + static_cast<std::size_t>(e - lo)];
+        out.put_i32(res.label);
+        out.put_i64(std::bit_cast<std::int64_t>(res.cycles));
+      }
+    });
+  });
+  return {records.size()};
 }
 
 SnapshotStats Case1SweepCache::load_snapshot(const std::string& path) {
-  BinReader r(path);
-  // Smallest legal entry: 24-byte key + 4-byte bound + one 12-byte result.
-  const std::uint64_t n = read_snapshot_header(r, path, 1, fingerprint(), 40);
   const int lo = 2 * space_->min_exp();
   const int hi = space_->max_macs_exp();
-  struct Staged {
-    Key key;
-    std::int32_t max_exp;
-    std::size_t off;
-  };
-  std::vector<Staged> staged;
-  staged.reserve(static_cast<std::size_t>(n));
+  std::vector<SpanRecord> staged;
   std::vector<Result> payload;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Key key{};
-    key[0] = r.get_i64();
-    key[1] = r.get_i64();
-    key[2] = r.get_i64();
-    const std::int32_t max_exp = r.get_i32();
-    AIRCH_CHECK(key[0] >= 1 && key[1] >= 1 && key[2] >= 1,
-                "corrupt workload key in snapshot: " + path);
-    AIRCH_CHECK(max_exp >= lo && max_exp <= hi, "corrupt span bound in snapshot: " + path);
-    const auto count = static_cast<std::size_t>(max_exp - lo + 1);
-    AIRCH_CHECK(count * 12 <= r.remaining(), "truncated span in snapshot: " + path);
-    staged.push_back({key, max_exp, payload.size()});
-    for (std::size_t e = 0; e < count; ++e) {
-      const std::int32_t label = r.get_i32();
-      const std::int64_t cycles = r.get_i64();
-      AIRCH_CHECK(label >= 0 && label < space_->size(), "corrupt label in snapshot: " + path);
-      AIRCH_CHECK(cycles >= 0, "corrupt cycle count in snapshot: " + path);
-      payload.push_back({label, std::bit_cast<Cycles>(cycles)});
-    }
-  }
-  r.verify_trailer_checksum();
-  // Everything decoded and verified; now (and only now) touch the cache.
+  read_snapshot(path, 1, fingerprint(), [&](BinReader& r) {
+    // Smallest legal record: 24-byte key + 4-byte bound + one 12-byte result.
+    staged = get_section(r, path, 40, [&] {
+      SpanRecord rec;
+      for (std::int64_t& v : rec.key) v = r.get_i64();
+      rec.max_exp = r.get_i32();
+      rec.off = payload.size();
+      AIRCH_CHECK(rec.key[0] >= 1 && rec.key[1] >= 1 && rec.key[2] >= 1,
+                  "corrupt workload key in snapshot: " + path);
+      AIRCH_CHECK(rec.max_exp >= lo && rec.max_exp <= hi,
+                  "corrupt span bound in snapshot: " + path);
+      const auto count = static_cast<std::size_t>(rec.max_exp - lo + 1);
+      AIRCH_CHECK(count * 12 <= r.remaining(), "truncated span in snapshot: " + path);
+      for (std::size_t e = 0; e < count; ++e) {
+        const std::int32_t label = r.get_i32();
+        const std::int64_t cycles = r.get_i64();
+        AIRCH_CHECK(label >= 0 && label < space_->size(), "corrupt label in snapshot: " + path);
+        AIRCH_CHECK(cycles >= 0, "corrupt cycle count in snapshot: " + path);
+        payload.push_back({label, std::bit_cast<Cycles>(cycles)});
+      }
+      return rec;
+    });
+  });
   // An entry the cache already covers at least as far is skipped — its
   // resident span is identical by determinism.
   std::uint64_t applied = 0;
-  for (const Staged& s : staged) {
-    const std::uint64_t hash = case1_key_hash(s.key);
+  for (const SpanRecord& rec : staged) {
+    const std::uint64_t hash = case1_key_hash(rec.key);
     Shard& shard = shards_[hash >> 58];
     const MutexLock lock(shard.mu);
-    Slot& slot = find_or_insert(shard, s.key, hash);
-    if (slot.max_exp >= s.max_exp) continue;
-    Result* best = shard.spans.data() + static_cast<std::size_t>(slot.span & kSpanMask) *
-                                            static_cast<std::size_t>(span_cap_);
-    std::copy_n(payload.data() + s.off, static_cast<std::size_t>(s.max_exp - lo + 1), best);
-    slot.max_exp = s.max_exp;
-    slot.span |= kRefBit;
+    Slot& slot = find_or_insert(shard, rec.key, hash);
+    if (slot.max_exp >= rec.max_exp) continue;
+    std::copy_n(payload.data() + rec.off, static_cast<std::size_t>(rec.max_exp - lo + 1),
+                shard.spans.data() + span_offset(slot));
+    slot.max_exp = rec.max_exp;
     ++applied;
   }
   return {applied};
@@ -760,21 +706,18 @@ std::uint64_t Case2SweepCache::fingerprint() const {
 }
 
 SnapshotStats Case2SweepCache::save_snapshot(const std::string& path) const {
-  std::vector<std::pair<Key, Table>> staged;
-  memo_.for_each([&](const Key& k, const Table& t) { staged.emplace_back(k, t); });
-  BinWriter w(path);
-  write_snapshot_header(w, 2, fingerprint(), staged.size());
-  for (const auto& [key, table] : staged) {
-    for (const std::int64_t v : key) w.put_i64(v);
-    w.put_u32(static_cast<std::uint32_t>(table.best_by_total.size()));
-    for (const BufferSearch::Result& res : table.best_by_total) {
-      w.put_i32(res.label);
-      w.put_i64(std::bit_cast<std::int64_t>(res.stall_cycles));
-      w.put_i64(res.total_kb);
-    }
-  }
-  w.put_trailer_checksum();
-  w.finish();
+  const std::vector<std::pair<Key, Table>> staged = memo_.entries();
+  write_snapshot(path, 2, fingerprint(), [&](BinWriter& w) {
+    put_section(w, staged, [](BinWriter& out, const std::pair<Key, Table>& entry) {
+      for (const std::int64_t v : entry.first) out.put_i64(v);
+      out.put_u32(static_cast<std::uint32_t>(entry.second.best_by_total.size()));
+      for (const BufferSearch::Result& res : entry.second.best_by_total) {
+        out.put_i32(res.label);
+        out.put_i64(std::bit_cast<std::int64_t>(res.stall_cycles));
+        out.put_i64(res.total_kb);
+      }
+    });
+  });
   return {staged.size()};
 }
 
@@ -782,39 +725,36 @@ SnapshotStats Case2SweepCache::load_snapshot(const std::string& path) {
   const int levels = space_->levels();
   const std::int64_t step = space_->step_kb();
   const auto nbuckets = static_cast<std::uint32_t>(3 * (levels - 1)) + 1;
-  BinReader r(path);
-  const std::uint64_t entry_bytes = 7 * 8 + 4 + static_cast<std::uint64_t>(nbuckets) * 20;
-  const std::uint64_t n = read_snapshot_header(r, path, 2, fingerprint(), entry_bytes);
   std::vector<std::pair<Key, Table>> staged;
-  staged.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Key key{};
-    for (std::int64_t& v : key) v = r.get_i64();
-    AIRCH_CHECK(key[0] >= 1 && key[1] >= 1 && key[2] >= 1 && key[3] >= 1 && key[4] >= 1,
-                "corrupt key in snapshot: " + path);
-    AIRCH_CHECK(key[5] >= 0 && key[5] < 3, "corrupt dataflow in snapshot: " + path);
-    AIRCH_CHECK(key[6] >= 1, "corrupt bandwidth in snapshot: " + path);
-    const std::uint32_t size = r.get_u32();
-    AIRCH_CHECK(size == nbuckets, "snapshot table arity does not match space: " + path);
-    Table t;
-    t.best_by_total.reserve(size);
-    for (std::uint32_t b = 0; b < size; ++b) {
-      const std::int32_t label = r.get_i32();
-      const std::int64_t stalls = r.get_i64();
-      const std::int64_t total_kb = r.get_i64();
-      AIRCH_CHECK(label >= 0 && label < space_->size(), "corrupt label in snapshot: " + path);
-      AIRCH_CHECK(stalls >= 0, "corrupt stall count in snapshot: " + path);
-      AIRCH_CHECK(total_kb >= 3 * step && total_kb <= 3 * levels * step,
-                  "corrupt capacity in snapshot: " + path);
-      t.best_by_total.push_back({label, std::bit_cast<Cycles>(stalls), total_kb});
-    }
-    staged.emplace_back(key, std::move(t));
-  }
-  r.verify_trailer_checksum();
-  for (auto& [key, table] : staged) {
-    memo_.insert(key, std::move(table));
-  }
-  return {n};
+  read_snapshot(path, 2, fingerprint(), [&](BinReader& r) {
+    const std::uint64_t record_bytes = 7 * 8 + 4 + static_cast<std::uint64_t>(nbuckets) * 20;
+    staged = get_section(r, path, record_bytes, [&] {
+      Key key{};
+      for (std::int64_t& v : key) v = r.get_i64();
+      AIRCH_CHECK(key[0] >= 1 && key[1] >= 1 && key[2] >= 1 && key[3] >= 1 && key[4] >= 1,
+                  "corrupt key in snapshot: " + path);
+      AIRCH_CHECK(key[5] >= 0 && key[5] < 3, "corrupt dataflow in snapshot: " + path);
+      AIRCH_CHECK(key[6] >= 1, "corrupt bandwidth in snapshot: " + path);
+      const std::uint32_t size = r.get_u32();
+      AIRCH_CHECK(size == nbuckets, "snapshot table arity does not match space: " + path);
+      Table t;
+      t.best_by_total.reserve(size);
+      for (std::uint32_t b = 0; b < size; ++b) {
+        const std::int32_t label = r.get_i32();
+        const std::int64_t stalls = r.get_i64();
+        const std::int64_t total_kb = r.get_i64();
+        AIRCH_CHECK(label >= 0 && label < space_->size(), "corrupt label in snapshot: " + path);
+        AIRCH_CHECK(stalls >= 0, "corrupt stall count in snapshot: " + path);
+        AIRCH_CHECK(total_kb >= 3 * step && total_kb <= 3 * levels * step,
+                    "corrupt capacity in snapshot: " + path);
+        t.best_by_total.push_back({label, std::bit_cast<Cycles>(stalls), total_kb});
+      }
+      return std::pair{key, std::move(t)};
+    });
+  });
+  std::uint64_t applied = 0;
+  for (auto& [key, table] : staged) applied += memo_.insert(key, std::move(table)) ? 1 : 0;
+  return {applied};
 }
 
 // --- case 3
@@ -841,105 +781,83 @@ std::uint64_t Case3SweepCache::fingerprint() const {
 }
 
 SnapshotStats Case3SweepCache::save_snapshot(const std::string& path) const {
-  // Section A: level-1 per-workload simulation costs. Section B: level-2
-  // per-vector argmin results. One file, each section with its own count.
-  std::vector<std::pair<WorkloadKey, ArrayCosts>> arrays;
-  array_memo_.for_each(
-      [&](const WorkloadKey& k, const ArrayCosts& c) { arrays.emplace_back(k, c); });
-  std::vector<std::pair<Key, ScheduleSearch::Result>> vectors;
-  memo_.for_each(
-      [&](const Key& k, const ScheduleSearch::Result& res) { vectors.emplace_back(k, res); });
-  BinWriter w(path);
-  write_snapshot_header(w, 3, fingerprint(), arrays.size() + vectors.size());
-  w.put_u64(arrays.size());
-  for (const auto& [key, costs] : arrays) {
-    for (const std::int64_t v : key) w.put_i64(v);
-    for (const ScheduleSearch::DataflowCosts& dc : costs) {
-      for (const Cycles c : dc.cycles) w.put_i64(std::bit_cast<std::int64_t>(c));
-      for (const Picojoules e : dc.energy) w.put_f64(std::bit_cast<double>(e));
-    }
-  }
-  w.put_u64(vectors.size());
-  for (const auto& [key, res] : vectors) {
-    w.put_u32(static_cast<std::uint32_t>(key.size()));
-    for (const std::int64_t v : key) w.put_i64(v);
-    w.put_i32(res.label);
-    w.put_i64(std::bit_cast<std::int64_t>(res.makespan_cycles));
-    w.put_f64(std::bit_cast<double>(res.energy_pj));
-  }
-  w.put_trailer_checksum();
-  w.finish();
+  // Section 1: level-1 per-workload simulation costs. Section 2: level-2
+  // per-vector argmin results.
+  const std::vector<std::pair<WorkloadKey, ArrayCosts>> arrays = array_memo_.entries();
+  const std::vector<std::pair<Key, ScheduleSearch::Result>> vectors = memo_.entries();
+  write_snapshot(path, 3, fingerprint(), [&](BinWriter& w) {
+    put_section(w, arrays, [](BinWriter& out, const std::pair<WorkloadKey, ArrayCosts>& entry) {
+      for (const std::int64_t v : entry.first) out.put_i64(v);
+      for (const ScheduleSearch::DataflowCosts& dc : entry.second) {
+        for (const Cycles c : dc.cycles) out.put_i64(std::bit_cast<std::int64_t>(c));
+        for (const Picojoules e : dc.energy) out.put_f64(std::bit_cast<double>(e));
+      }
+    });
+    put_section(w, vectors,
+                [](BinWriter& out, const std::pair<Key, ScheduleSearch::Result>& entry) {
+                  out.put_u32(static_cast<std::uint32_t>(entry.first.size()));
+                  for (const std::int64_t v : entry.first) out.put_i64(v);
+                  out.put_i32(entry.second.label);
+                  out.put_i64(std::bit_cast<std::int64_t>(entry.second.makespan_cycles));
+                  out.put_f64(std::bit_cast<double>(entry.second.energy_pj));
+                });
+  });
   return {arrays.size() + vectors.size()};
 }
 
 SnapshotStats Case3SweepCache::load_snapshot(const std::string& path) {
   const ScheduleSpace& space = search_->space();
   const int n_arrays = space.num_arrays();
-  BinReader r(path);
-  // Header entry count covers both sections; the per-workload record is
-  // the smaller footprint (24-byte key + 8 blocks of 3 cycles + 3 energies).
-  constexpr std::uint64_t kArrayEntryBytes = 24 + 8 * (3 * 8 + 3 * 8);
-  const std::uint64_t total =
-      read_snapshot_header(r, path, 3, fingerprint(), std::min<std::uint64_t>(kArrayEntryBytes, 48));
-  const std::uint64_t n_a = r.get_u64();
-  AIRCH_CHECK(n_a <= total && n_a <= r.remaining() / kArrayEntryBytes,
-              "corrupt section count in snapshot: " + path);
-  std::vector<std::pair<WorkloadKey, ArrayCosts>> staged_arrays;
-  staged_arrays.reserve(static_cast<std::size_t>(n_a));
-  for (std::uint64_t i = 0; i < n_a; ++i) {
-    WorkloadKey key{};
-    for (std::int64_t& v : key) v = r.get_i64();
-    AIRCH_CHECK(key[0] >= 1 && key[1] >= 1 && key[2] >= 1,
-                "corrupt workload key in snapshot: " + path);
-    ArrayCosts costs{};
-    for (ScheduleSearch::DataflowCosts& dc : costs) {
-      for (Cycles& c : dc.cycles) {
-        const std::int64_t cyc = r.get_i64();
-        AIRCH_CHECK(cyc >= 0, "corrupt cycle count in snapshot: " + path);
-        c = std::bit_cast<Cycles>(cyc);
+  std::vector<std::pair<WorkloadKey, ArrayCosts>> arrays;
+  std::vector<std::pair<Key, ScheduleSearch::Result>> vectors;
+  read_snapshot(path, 3, fingerprint(), [&](BinReader& r) {
+    // 24-byte key + 8 blocks of 3 cycles + 3 energies.
+    arrays = get_section(r, path, 24 + 8 * (3 * 8 + 3 * 8), [&] {
+      WorkloadKey key{};
+      for (std::int64_t& v : key) v = r.get_i64();
+      AIRCH_CHECK(key[0] >= 1 && key[1] >= 1 && key[2] >= 1,
+                  "corrupt workload key in snapshot: " + path);
+      ArrayCosts costs{};
+      for (ScheduleSearch::DataflowCosts& dc : costs) {
+        for (Cycles& c : dc.cycles) {
+          const std::int64_t cyc = r.get_i64();
+          AIRCH_CHECK(cyc >= 0, "corrupt cycle count in snapshot: " + path);
+          c = std::bit_cast<Cycles>(cyc);
+        }
+        for (Picojoules& e : dc.energy) {
+          const double pj = r.get_f64();
+          AIRCH_CHECK(std::isfinite(pj) && pj >= 0.0, "corrupt energy in snapshot: " + path);
+          e = std::bit_cast<Picojoules>(pj);
+        }
       }
-      for (Picojoules& e : dc.energy) {
-        const double pj = r.get_f64();
-        AIRCH_CHECK(std::isfinite(pj) && pj >= 0.0, "corrupt energy in snapshot: " + path);
-        e = std::bit_cast<Picojoules>(pj);
+      return std::pair{key, costs};
+    });
+    // u32 arity + the key + label, makespan, energy.
+    const auto vector_bytes = static_cast<std::uint64_t>(4 + 3 * n_arrays * 8 + 4 + 8 + 8);
+    vectors = get_section(r, path, vector_bytes, [&] {
+      const std::uint32_t len = r.get_u32();
+      AIRCH_CHECK(len == static_cast<std::uint32_t>(3 * n_arrays),
+                  "snapshot key arity does not match space: " + path);
+      Key key(len);
+      for (std::int64_t& v : key) {
+        v = r.get_i64();
+        AIRCH_CHECK(v >= 1, "corrupt workload key in snapshot: " + path);
       }
-    }
-    staged_arrays.emplace_back(key, costs);
-  }
-  const std::uint64_t n_v = r.get_u64();
-  const auto vec_entry_bytes = static_cast<std::uint64_t>(4 + 3 * n_arrays * 8 + 4 + 8 + 8);
-  AIRCH_CHECK(n_a + n_v == total, "corrupt section count in snapshot: " + path);
-  AIRCH_CHECK(n_v <= r.remaining() / vec_entry_bytes,
-              "snapshot entry count exceeds file size: " + path);
-  std::vector<std::pair<Key, ScheduleSearch::Result>> staged_vectors;
-  staged_vectors.reserve(static_cast<std::size_t>(n_v));
-  for (std::uint64_t i = 0; i < n_v; ++i) {
-    const std::uint32_t len = r.get_u32();
-    AIRCH_CHECK(len == static_cast<std::uint32_t>(3 * n_arrays),
-                "snapshot key arity does not match space: " + path);
-    Key key(len);
-    for (std::int64_t& v : key) {
-      v = r.get_i64();
-      AIRCH_CHECK(v >= 1, "corrupt workload key in snapshot: " + path);
-    }
-    const std::int32_t label = r.get_i32();
-    const std::int64_t makespan = r.get_i64();
-    const double energy = r.get_f64();
-    AIRCH_CHECK(label >= 0 && label < space.size(), "corrupt label in snapshot: " + path);
-    AIRCH_CHECK(makespan >= 0, "corrupt cycle count in snapshot: " + path);
-    AIRCH_CHECK(std::isfinite(energy) && energy >= 0.0, "corrupt energy in snapshot: " + path);
-    staged_vectors.emplace_back(
-        std::move(key), ScheduleSearch::Result{label, std::bit_cast<Cycles>(makespan),
-                                               std::bit_cast<Picojoules>(energy)});
-  }
-  r.verify_trailer_checksum();
-  for (auto& [key, costs] : staged_arrays) {
-    array_memo_.insert(key, costs);
-  }
-  for (auto& [key, res] : staged_vectors) {
-    memo_.insert(std::move(key), res);
-  }
-  return {n_a + n_v};
+      const std::int32_t label = r.get_i32();
+      const std::int64_t makespan = r.get_i64();
+      const double energy = r.get_f64();
+      AIRCH_CHECK(label >= 0 && label < space.size(), "corrupt label in snapshot: " + path);
+      AIRCH_CHECK(makespan >= 0, "corrupt cycle count in snapshot: " + path);
+      AIRCH_CHECK(std::isfinite(energy) && energy >= 0.0, "corrupt energy in snapshot: " + path);
+      return std::pair{std::move(key),
+                       ScheduleSearch::Result{label, std::bit_cast<Cycles>(makespan),
+                                              std::bit_cast<Picojoules>(energy)}};
+    });
+  });
+  std::uint64_t applied = 0;
+  for (const auto& [key, costs] : arrays) applied += array_memo_.insert(key, costs) ? 1 : 0;
+  for (auto& [key, res] : vectors) applied += memo_.insert(std::move(key), res) ? 1 : 0;
+  return {applied};
 }
 
 }  // namespace airch

@@ -39,18 +39,19 @@
 // (cases 2/3 share the node-based ShardedMemoCache; case 1 uses the
 // open-addressed variant above), so the log-uniform sampler's duplicate
 // workloads hit cache across a whole generation run from any worker
-// thread. Each cache is unbounded by default and takes a capacity knob;
-// bounded instances evict with a per-shard second-chance (CLOCK) policy,
-// and re-admitted keys rebuild deterministically, so labels stay exact.
+// thread. The caches are unbounded: a generation run's key set is bounded
+// by its point count.
 // Correctness bar: labels (and costs) are bit-identical to the naive
 // exhaustive path — enforced by the property tests in
-// tests/test_sweep_cache.cpp, including under forced eviction.
+// tests/test_sweep_cache.cpp.
 //
 // Persistence: every cache serializes to a versioned, checksummed
 // snapshot file (save_snapshot / load_snapshot) so a warm cache from a
 // previous run amortizes labelling across runs, not just within one.
-// The header carries a format version, the case id, and a fingerprint of
-// the search-space shape; a snapshot whose version, case, fingerprint, or
+// One codec (sweep_cache.cpp) writes and reads every snapshot: a header
+// (magic, format version, case id, fingerprint of the search-space
+// shape), one or more sections of `u64 count` plus records, and a
+// checksum trailer. A snapshot whose version, case, fingerprint, or
 // trailer checksum does not match is rejected with a thrown AIRCH_CHECK
 // error and the cache is left untouched (loads stage the decoded payload
 // and apply it only after the checksum verifies — no partial loads).
@@ -63,13 +64,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/check.hpp"
 #include "common/sync.hpp"
 #include "search/exhaustive.hpp"
 #include "search/space.hpp"
@@ -94,10 +93,7 @@ struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t races = 0;
-  std::uint64_t evictions = 0;
   std::size_t entries = 0;
-  /// Maximum resident entries (summed per-shard caps); 0 = unbounded.
-  std::size_t capacity = 0;
 };
 
 /// Outcome of a snapshot save or restore: how many logical entries were
@@ -112,8 +108,9 @@ struct SnapshotStats {
 /// fixtures with valid checksums.
 inline constexpr std::uint64_t kSnapshotMagic = 0x504E534843524941ULL;
 /// Bumped whenever the snapshot payload layout changes; readers reject
-/// any other version loudly instead of misparsing.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/// any other version loudly instead of misparsing. Version 2 dropped the
+/// header's entry count: every section carries its own.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 namespace detail {
 
@@ -148,30 +145,10 @@ struct I64SeqHash {
 /// blocks other shards (or even other keys of the same shard for long).
 /// Two threads racing on the same fresh key may both compute; the first
 /// insert wins and both observe the same (deterministic) value — callers
-/// must therefore pass pure compute functions.
-///
-/// With max_entries == 0 the table grows without bound. A non-zero
-/// max_entries is split evenly across shards (rounded up, so the
-/// effective capacity() may slightly exceed the request) and each shard
-/// evicts with the CLOCK second-chance policy: every access sets the
-/// entry's reference bit, the shard's clock hand sweeps its ring of
-/// entries clearing bits, and the first unreferenced entry makes way.
-/// Because eviction can drop any entry at any insert, values are handed
-/// out by copy (get_or_compute) or through a projection that runs under
-/// the shard lock (get_or_use) — never by reference.
+/// must therefore pass pure compute functions. Entries are never removed.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class ShardedMemoCache {
  public:
-  /// shard_count is rounded up to a power of two; 0 picks the default (64,
-  /// comfortably above any parallel_for worker count this repo deploys).
-  /// max_entries bounds total residency as described above; 0 = unbounded.
-  explicit ShardedMemoCache(std::size_t shard_count = 0, std::size_t max_entries = 0)
-      : shards_(pow2_at_least(shard_count == 0 ? 64 : shard_count)) {
-    if (max_entries != 0) {
-      per_shard_cap_ = (max_entries + shards_.size() - 1) / shards_.size();
-    }
-  }
-
   /// Copy of the cached (or freshly computed) value for `key`.
   template <typename Fn>
   Value get_or_compute(const Key& key, const Fn& compute) {
@@ -180,8 +157,7 @@ class ShardedMemoCache {
 
   /// Core lookup: applies `use` to the cached value *under the shard lock*
   /// and returns use's result by value. This is how callers extract a
-  /// small projection of a large cached table without copying the table
-  /// and without holding a reference that an eviction could invalidate.
+  /// small projection of a large cached table without copying the table.
   /// `use` must be cheap and must not re-enter this cache (deadlock — and
   /// in checked builds the lock-rank registry turns the attempt into a
   /// ContractViolation: shard locks are peers at kSweepCacheShard rank).
@@ -193,150 +169,80 @@ class ShardedMemoCache {
       const auto it = shard.map.find(key);
       if (it != shard.map.end()) {
         ++shard.hits;
-        it->second.ref = true;
-        return use(it->second.value);
+        return use(it->second);
       }
     }
     Value value = compute();  // outside any lock: misses don't serialize
     const MutexLock lock(shard.mu);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      // Lost the insert race: another thread published while this one
-      // computed. Serve the winner's (identical) value; the duplicated
-      // compute is tallied as a race, not a miss — the table held the key.
+    const auto [it, inserted] = shard.map.try_emplace(key, std::move(value));
+    // Not inserted: lost the insert race — another thread published while
+    // this one computed. Serve the winner's (identical) value; the
+    // duplicated compute is tallied as a race, not a miss — the table
+    // held the key.
+    if (inserted) {
+      ++shard.misses;
+    } else {
       ++shard.races;
-      it->second.ref = true;
-      return use(it->second.value);
     }
-    ++shard.misses;
-    if (per_shard_cap_ != 0 && shard.map.size() >= per_shard_cap_) {
-      evict_one(shard);
-      const auto ins = shard.map.emplace(key, Node{std::move(value), true}).first;
-      shard.ring[shard.hand] = ins;  // new entry takes the victim's ring slot
-      shard.hand = (shard.hand + 1) % shard.ring.size();
-      return use(ins->second.value);
-    }
-    const auto ins = shard.map.emplace(key, Node{std::move(value), true}).first;
-    if (per_shard_cap_ != 0) shard.ring.push_back(ins);  // unbounded: no ring upkeep
-    return use(ins->second.value);
-  }
-
-  /// Total resident-entry bound (0 = unbounded). Per-shard caps round up,
-  /// so this may slightly exceed the constructor's max_entries.
-  std::size_t capacity() const {
-    return per_shard_cap_ == 0 ? 0 : per_shard_cap_ * shards_.size();
+    return use(it->second);
   }
 
   [[nodiscard]] CacheStats stats() const {
     CacheStats s;
-    s.capacity = capacity();
     for (const Shard& shard : shards_) {
       const MutexLock lock(shard.mu);
       s.hits += shard.hits;
       s.misses += shard.misses;
       s.races += shard.races;
-      s.evictions += shard.evictions;
       s.entries += shard.map.size();
     }
     return s;
   }
 
-  /// Visits every resident entry as fn(key, value), shard by shard under
-  /// each shard's lock. The cut is consistent per shard (not across
-  /// shards); `fn` must be cheap and must not re-enter this cache (the
-  /// lock-rank registry turns the attempt into a ContractViolation).
-  /// Snapshot saves stage through this.
-  template <typename Fn>
-  void for_each(const Fn& fn) const {
+  /// Copies every resident entry out, shard by shard under each shard's
+  /// lock. The cut is consistent per shard (not across shards). Snapshot
+  /// saves stage through this.
+  [[nodiscard]] std::vector<std::pair<Key, Value>> entries() const {
+    std::vector<std::pair<Key, Value>> out;
     for (const Shard& shard : shards_) {
       const MutexLock lock(shard.mu);
-      for (const auto& kv : shard.map) {
-        fn(kv.first, kv.second.value);
-      }
+      out.insert(out.end(), shard.map.begin(), shard.map.end());
     }
+    return out;
   }
 
   /// Direct insert (snapshot restore path): stores `value` for `key`
   /// unless the key is already resident — first write wins, mirroring the
   /// get_or_use race rule, and restored values are deterministic so the
   /// kept entry is identical either way. Tallied as neither hit nor miss.
-  void insert(const Key& key, Value value) {
+  /// Returns whether `value` was stored.
+  bool insert(const Key& key, Value value) {
     Shard& shard = shards_[shard_index(key)];
     const MutexLock lock(shard.mu);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      it->second.ref = true;
-      return;
-    }
-    if (per_shard_cap_ != 0 && shard.map.size() >= per_shard_cap_) {
-      evict_one(shard);
-      const auto ins = shard.map.emplace(key, Node{std::move(value), true}).first;
-      shard.ring[shard.hand] = ins;
-      shard.hand = (shard.hand + 1) % shard.ring.size();
-      return;
-    }
-    const auto ins = shard.map.emplace(key, Node{std::move(value), true}).first;
-    if (per_shard_cap_ != 0) shard.ring.push_back(ins);
+    return shard.map.try_emplace(key, std::move(value)).second;
   }
 
  private:
-  struct Node {
-    Value value;
-    bool ref = true;  // CLOCK reference bit; set on every access
-  };
-  using Map = std::unordered_map<Key, Node, Hash>;
+  /// Comfortably above any parallel_for worker count this repo deploys.
+  static constexpr std::size_t kShards = 64;
 
   struct Shard {
     mutable Mutex mu{lock_rank::kSweepCacheShard};
-    Map map GUARDED_BY(mu);
-    // CLOCK state (bounded shards only): `ring` holds an iterator to every
-    // resident entry (unordered_map iterators stay valid until their entry
-    // is erased), `hand` is the sweep position.
-    std::vector<typename Map::iterator> ring GUARDED_BY(mu);
-    std::size_t hand GUARDED_BY(mu) = 0;
+    std::unordered_map<Key, Value, Hash> map GUARDED_BY(mu);
     // Plain counters: every touch happens under `mu`, no atomics needed —
     // which is also what makes stats() TSan-clean.
     std::uint64_t hits GUARDED_BY(mu) = 0;
     std::uint64_t misses GUARDED_BY(mu) = 0;
     std::uint64_t races GUARDED_BY(mu) = 0;
-    std::uint64_t evictions GUARDED_BY(mu) = 0;
   };
-
-  /// Sweep the clock hand to the first entry whose reference bit is clear
-  /// (clearing set bits along the way) and erase it. The hand then points
-  /// at the freed ring slot. Terminates: bits are only cleared, so a full
-  /// lap forces a victim on the next.
-  void evict_one(Shard& shard) REQUIRES(shard.mu) {
-    AIRCH_DCHECK(!shard.ring.empty(), "bounded shard must have residents to evict");
-    for (std::size_t spins = 0;; ++spins) {
-      AIRCH_DCHECK(spins <= 2 * shard.ring.size(), "clock sweep must find a victim");
-      if (shard.hand >= shard.ring.size()) shard.hand = 0;
-      const auto victim = shard.ring[shard.hand];
-      if (victim->second.ref) {
-        victim->second.ref = false;
-        ++shard.hand;
-        continue;
-      }
-      shard.map.erase(victim);
-      ++shard.evictions;
-      return;
-    }
-  }
-
-  static std::size_t pow2_at_least(std::size_t n) {
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
-  }
 
   std::size_t shard_index(const Key& key) const {
     // Re-avalanche the map hash so shard index and bucket index do not
     // correlate (both would otherwise use the same low bits).
-    return detail::mix_u64(static_cast<std::uint64_t>(Hash{}(key))) & (shards_.size() - 1);
+    return detail::mix_u64(static_cast<std::uint64_t>(Hash{}(key))) & (kShards - 1);
   }
 
-  std::vector<Shard> shards_;
-  std::size_t per_shard_cap_ = 0;  // 0 = unbounded
+  std::vector<Shard> shards_ = std::vector<Shard>(kShards);
 };
 
 // --------------------------------------------------------------- case 1
@@ -359,23 +265,18 @@ class ShardedMemoCache {
 /// it replaces; probing, building, and copying the answer out all happen
 /// under that one lock.
 ///
-/// Unbounded by default; with max_workloads != 0 each shard caps its
-/// resident workloads and evicts second-chance (the CLOCK reference bit
-/// rides in the top bit of the slot's span index, keeping slots at 32
-/// bytes). Deletion is backward-shift — no tombstones, probe chains stay
-/// exact — and the victim's span storage is handed to the incoming key, so
-/// a bounded cache performs zero span allocation at steady state.
+/// This table stays apart from ShardedMemoCache on measurement: storing
+/// each workload's budget table as a ShardedMemoCache value made every
+/// case-1 labelling stage about 2x slower (docs/performance.md).
 class Case1SweepCache {
  public:
   /// `expected_workloads` pre-sizes the shard tables for that many unique
   /// workloads (plus slack): the labelling loop then sees no slot rehash,
   /// no span reallocation and no first-touch page fault — that cost all
   /// lands here in the constructor, before any worker starts. 0 starts
-  /// minimal and grows on demand. `max_workloads` bounds residency
-  /// (0 = unbounded); the bound is split across the 64 shards rounded up,
-  /// so stats().capacity may slightly exceed it.
+  /// minimal and grows on demand.
   Case1SweepCache(const ArrayDataflowSpace& space, const Simulator& sim,
-                  std::size_t expected_workloads = 0, std::size_t max_workloads = 0);
+                  std::size_t expected_workloads = 0);
 
   /// Bit-identical to ArrayDataflowSearch::best(w, budget_exp), including
   /// the fewer-MACs / lower-label tie-break and the infeasible-budget
@@ -407,15 +308,10 @@ class Case1SweepCache {
   using Result = ArrayDataflowSearch::Result;
   using Key = std::array<std::int64_t, 3>;
 
-  /// Top bit of Slot::span is the CLOCK reference bit (set on access,
-  /// cleared by a passing clock hand); the low 31 bits are the span index.
-  static constexpr std::uint32_t kRefBit = 0x80000000u;
-  static constexpr std::uint32_t kSpanMask = ~kRefBit;
-
   /// 32-byte probe header; the span itself lives in the shard's `spans`
-  /// vector at index `(span & kSpanMask) * span_cap_`, computable from the
-  /// header alone (no pointer chase). key[0] == 0 marks an empty slot —
-  /// valid workloads have m >= 1.
+  /// vector at index `span * span_cap_`, computable from the header alone
+  /// (no pointer chase). key[0] == 0 marks an empty slot — valid
+  /// workloads have m >= 1.
   struct Slot {
     Key key{};
     std::int32_t max_exp = -1;  // highest MAC exponent built so far
@@ -427,11 +323,9 @@ class Case1SweepCache {
     std::vector<Slot> slots GUARDED_BY(mu);  // pow2 size, linear probing, <= 50% load
     std::size_t used GUARDED_BY(mu) = 0;
     std::vector<Result> spans GUARDED_BY(mu);  // span i occupies [i*span_cap, +span_cap)
-    std::size_t hand GUARDED_BY(mu) = 0;       // CLOCK sweep position (bounded mode)
     // Plain counters: every touch happens under `mu`, no atomics needed.
     std::uint64_t hits GUARDED_BY(mu) = 0;
     std::uint64_t misses GUARDED_BY(mu) = 0;
-    std::uint64_t evictions GUARDED_BY(mu) = 0;
     // Lock-free snapshot of (slots.data(), size-1) for prefetch(). Writers
     // publish base before mask; readers load mask before base, so a
     // reader's base is always at least as new as its mask and the computed
@@ -446,10 +340,10 @@ class Case1SweepCache {
 
   Slot& find_or_insert(Shard& shard, const Key& key, std::uint64_t hash) const
       REQUIRES(shard.mu);
-
-  /// Second-chance victim selection + backward-shift deletion; returns the
-  /// victim's span index for the incoming key to reuse.
-  std::uint32_t evict_one(Shard& shard) const REQUIRES(shard.mu);
+  /// Index of the first element of `slot`'s span in its shard's `spans`.
+  std::size_t span_offset(const Slot& slot) const {
+    return static_cast<std::size_t>(slot.span) * static_cast<std::size_t>(span_cap_);
+  }
 
   /// Continue the prefix-argmin scan of `best` from `built_exp` (-1 for a
   /// fresh span) up to `up_to_exp`. Pure integer arithmetic; never throws.
@@ -458,7 +352,6 @@ class Case1SweepCache {
   const ArrayDataflowSpace* space_;
   const Simulator* sim_;
   int span_cap_;  // entries per span: max_macs_exp - 2*min_exp + 1
-  std::size_t per_shard_cap_ = 0;  // resident workloads per shard; 0 = unbounded
   mutable std::vector<Shard> shards_;
 };
 
@@ -468,13 +361,10 @@ class Case1SweepCache {
 /// (workload, array, bandwidth) the separable traffic model is factored
 /// once — no probe simulations — and folded into a limit-indexed
 /// prefix-argmin table. Queries project one table entry under the shard
-/// lock, so bounded instances stay safe under concurrent eviction.
+/// lock instead of copying the table.
 class Case2SweepCache {
  public:
-  /// max_entries bounds resident (workload, array, bandwidth) tables;
-  /// 0 = unbounded.
-  Case2SweepCache(const BufferSizeSpace& space, const Simulator& sim,
-                  std::size_t max_entries = 0);
+  Case2SweepCache(const BufferSizeSpace& space, const Simulator& sim);
 
   /// Bit-identical to BufferSearch::best(w, array, bandwidth, limit_kb).
   [[nodiscard]] BufferSearch::Result best(const GemmWorkload& w, const ArrayConfig& array,
@@ -517,8 +407,7 @@ class Case2SweepCache {
 /// the remaining arrays) and the tie-break comparator carries the label.
 class Case3SweepCache {
  public:
-  /// max_entries bounds each memo level independently (0 = unbounded).
-  explicit Case3SweepCache(const ScheduleSearch& search, std::size_t max_entries = 0);
+  explicit Case3SweepCache(const ScheduleSearch& search);
 
   /// Bit-identical to ScheduleSearch::best(workloads).
   [[nodiscard]] ScheduleSearch::Result best(const std::vector<GemmWorkload>& workloads) const;

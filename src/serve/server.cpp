@@ -87,9 +87,11 @@ struct RecommenderService::Impl {
     ++stats_.errors;
   }
 
+  /// Counts the error before sending it: a client that has seen the
+  /// reply must also see the counter (ServeStats is causally consistent).
   void send_error(Socket& sock, const std::string& message) {
-    sock.send_frame(encode_error(message));
     bump_errors();
+    sock.send_frame(encode_error(message));
   }
 
   // ------------------------------------------------------------- acceptor
@@ -183,9 +185,11 @@ struct RecommenderService::Impl {
         if (!error.empty()) {
           send_error(cs.sock, error);
         } else {
+          {
+            const MutexLock lock(stats_mu_);
+            ++stats_.requests;  // before the reply, as in send_error
+          }
           cs.sock.send_frame(encode_reply(labels));
-          const MutexLock lock(stats_mu_);
-          ++stats_.requests;
         }
       }
     } catch (...) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "dataset/encoding.hpp"
@@ -176,6 +177,142 @@ TEST_F(BinaryIoTest, FitStreamMultiChunkTrains) {
   const auto hist = clf.fit_stream(stream, Dataset(train.feature_names(), 6), enc, 32);
   ASSERT_EQ(hist.size(), 2u);
   EXPECT_EQ(clf.predict(train, enc).size(), train.size());
+}
+
+// ------------------------------------------------------ buffer boundaries
+//
+// Every other file in this suite fits in one stream buffer; these cross
+// kBinIoBufferBytes on purpose, at odd offsets.
+
+/// Byte i of a deterministic fill that does not repeat every 256 bytes.
+char pattern_byte(std::size_t i) { return static_cast<char>((i * 131 + i / 251) % 256); }
+
+std::string pattern(std::size_t n) {
+  std::string out(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) out[i] = pattern_byte(i);
+  return out;
+}
+
+/// One-shot digest over the first `n` bytes of `bytes`.
+std::uint64_t digest_of(const std::string& bytes, std::size_t n) {
+  ByteChecksum sum;
+  sum.update(reinterpret_cast<const unsigned char*>(bytes.data()), n);
+  return sum.digest();
+}
+
+/// Little-endian value of `n` bytes of `bytes` at `at`.
+std::uint64_t le_at(const std::string& bytes, std::size_t at, int n) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < n; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + static_cast<std::size_t>(i)]))
+         << (8 * i);
+  }
+  return v;
+}
+
+void append_le(std::string& bytes, std::uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+}
+
+/// Writes `payload` followed by its trailer digest.
+void write_with_trailer(const std::string& path, const std::string& payload) {
+  std::string file = payload;
+  append_le(file, digest_of(payload, payload.size()), 8);
+  write_file(path, file);
+}
+
+TEST_F(BinaryIoTest, WritesAcrossBufferBoundariesMatchOneShotChecksum) {
+  std::string expected;  // built without BinWriter
+  const std::string lead = pattern(kBinIoBufferBytes - 3);  // the next u64 straddles 64 KiB
+  const std::string big = pattern(2 * kBinIoBufferBytes + 17);  // one call > the buffer
+  {
+    BinWriter w(path("straddle.bin"));
+    w.put_bytes(lead.data(), lead.size());
+    expected += lead;
+    w.put_u64(0x0123456789ABCDEFULL);
+    append_le(expected, 0x0123456789ABCDEFULL, 8);
+    w.put_bytes(big.data(), big.size());
+    expected += big;
+    for (std::uint32_t i = 0; i < 40000; ++i) {  // ~2.5 buffers of small writes
+      w.put_u32(i * 2654435761u);
+      append_le(expected, i * 2654435761u, 4);
+      w.put_bytes(lead.data() + i % 7, i % 7);
+      expected.append(lead, i % 7, i % 7);
+    }
+    w.put_trailer_checksum();
+    w.finish();
+  }
+  const std::string file = read_file(path("straddle.bin"));
+  ASSERT_EQ(file.size(), expected.size() + 8);
+  EXPECT_TRUE(file.compare(0, expected.size(), expected) == 0);
+  EXPECT_EQ(le_at(file, expected.size(), 8), digest_of(file, expected.size()));
+}
+
+TEST_F(BinaryIoTest, ReadsAcrossBufferRefillsMatchTheFile) {
+  const std::string payload = pattern(3 * kBinIoBufferBytes + 5);
+  write_with_trailer(path("refill.bin"), payload);
+  BinReader r(path("refill.bin"));
+  std::size_t at = 0;
+  std::string chunk;
+  // A 1033-byte stride of mixed reads drifts across every refill boundary
+  // at a different offset; the checksum must cover exactly the bytes
+  // consumed, never the buffered read-ahead.
+  while (payload.size() - at > 1100) {
+    ASSERT_EQ(r.get_u64(), le_at(payload, at, 8)) << "at " << at;
+    at += 8;
+    ASSERT_EQ(r.get_u32(), le_at(payload, at, 4)) << "at " << at;
+    at += 4;
+    chunk.assign(1000, '\0');
+    r.get_bytes(chunk.data(), chunk.size());
+    ASSERT_TRUE(payload.compare(at, chunk.size(), chunk) == 0) << "at " << at;
+    at += chunk.size();
+    r.skip_bytes(21);
+    at += 21;
+    ASSERT_EQ(r.tell(), at);
+    ASSERT_EQ(r.checksum(), digest_of(payload, at)) << "at " << at;
+  }
+  r.skip_bytes(payload.size() - at);
+  r.verify_trailer_checksum();
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST_F(BinaryIoTest, SeekDiscardsTheBufferAndRestartsTheChecksum) {
+  const std::string payload = pattern(2 * kBinIoBufferBytes + 100);
+  write_with_trailer(path("seek.bin"), payload);
+  BinReader r(path("seek.bin"));
+  r.skip_bytes(kBinIoBufferBytes + 10);  // the buffer now holds the second chunk
+  for (const std::uint64_t target :
+       {std::uint64_t{5}, std::uint64_t{kBinIoBufferBytes - 4},
+        std::uint64_t{2 * kBinIoBufferBytes + 50}, std::uint64_t{kBinIoBufferBytes + 10}}) {
+    r.seek(target);
+    EXPECT_EQ(r.tell(), target);
+    EXPECT_EQ(r.checksum(), ByteChecksum().digest());
+    std::string got(16, '\0');
+    r.get_bytes(got.data(), got.size());
+    const std::string want = payload.substr(static_cast<std::size_t>(target), got.size());
+    EXPECT_EQ(got, want) << "after seek to " << target;
+    EXPECT_EQ(r.checksum(), digest_of(want, want.size())) << "after seek to " << target;
+  }
+  r.seek(0);
+  r.skip_bytes(payload.size());
+  r.verify_trailer_checksum();
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST_F(BinaryIoTest, BatchStreamOverMultiBufferFileConcatenatesToWholeFile) {
+  const Dataset ds = make_dataset(4000, 5, 16, 19);  // 44-byte records, ~172 KiB
+  write_binary_dataset(ds, path("big.bin"));
+  ASSERT_GT(read_file(path("big.bin")).size(), 2 * kBinIoBufferBytes);
+  BatchStream stream(path("big.bin"));
+  Dataset all(stream.feature_names(), stream.num_classes());
+  Dataset chunk;
+  while (stream.next_batch(333, chunk)) {
+    for (const auto& p : chunk.points()) all.add(p);
+  }
+  expect_identical(ds, all);
+  stream.reset();
+  ASSERT_TRUE(stream.next_batch(ds.size(), chunk));
+  expect_identical(ds, chunk);
 }
 
 // ---------------------------------------------------------------- merging

@@ -319,6 +319,23 @@ TEST_F(ServeModel, ServiceAnswersUnknownCaseWithErrorAndSurvives) {
   service.stop();
 }
 
+// Counters move before the reply leaves: stats() read right after a reply
+// or an error frame already counts it, with no sleep or retry.
+TEST_F(ServeModel, StatsCountEachReplyAndErrorBeforeTheClientSeesIt) {
+  RecommenderService service({{1, rec_.get()}});
+  service.start();
+  RecommenderClient client(service.port());
+  const auto queries = make_queries(2, 35);
+  const auto expected = rec_->recommend_batch(queries);
+  for (std::uint64_t i = 1; i <= 50; ++i) {
+    EXPECT_EQ(client.recommend_batch(1, queries), expected);
+    EXPECT_EQ(service.stats().requests, i);
+    EXPECT_THROW(client.recommend_batch(3, queries), std::runtime_error);
+    EXPECT_EQ(service.stats().errors, i);
+  }
+  service.stop();
+}
+
 TEST_F(ServeModel, ServiceRejectsArityMismatchBeforeBatching) {
   RecommenderService service({{1, rec_.get()}});
   service.start();

@@ -153,6 +153,20 @@ TEST_F(SnapshotTest, Case2RejectsCase1Snapshot) {
   EXPECT_EQ(victim.stats().entries, 0u);
 }
 
+TEST_F(SnapshotTest, Case2LoadSkipsEntriesTheCacheAlreadyCovers) {
+  const BufferSizeSpace space;
+  const ArrayConfig array{16, 32, Dataflow::kOutputStationary};
+  const Case2SweepCache a(space, sim_);
+  (void)a.best({64, 64, 64}, array, 10, 600);
+  const SnapshotStats saved = a.save_snapshot(path("dup2.snap"));
+  EXPECT_EQ(saved.entries, 1u);
+
+  Case2SweepCache b(space, sim_);
+  (void)b.best({64, 64, 64}, array, 10, 600);  // already holds the snapshot's entry
+  const SnapshotStats loaded = b.load_snapshot(path("dup2.snap"));
+  EXPECT_EQ(loaded.entries, 0u);
+}
+
 // ------------------------------------------------------------- case 3
 
 TEST_F(SnapshotTest, Case3BothMemoLevelsRoundTripWarm) {
@@ -186,59 +200,137 @@ TEST_F(SnapshotTest, Case3BothMemoLevelsRoundTripWarm) {
   EXPECT_EQ(warm.stats().misses, 0u);
 }
 
+TEST_F(SnapshotTest, Case3LoadSkipsEntriesTheCacheAlreadyCovers) {
+  const ScheduleSpace space;
+  const ScheduleSearch search(space, default_scheduled_arrays(), sim_);
+  Rng rng(9);
+  LogUniformGemmSampler sampler;
+  const std::vector<GemmWorkload> query =
+      sampler.sample_many(rng, static_cast<std::size_t>(space.num_arrays()));
+  const Case3SweepCache a(search);
+  (void)a.best(query);
+  const SnapshotStats saved = a.save_snapshot(path("dup3.snap"));
+  EXPECT_EQ(saved.entries, a.stats().entries + a.array_stats().entries);
+
+  Case3SweepCache b(search);
+  (void)b.best(query);  // both memo levels already hold every entry
+  const SnapshotStats loaded = b.load_snapshot(path("dup3.snap"));
+  EXPECT_EQ(loaded.entries, 0u);
+}
+
 // ----------------------------------------------------------- corruption
 
-TEST_F(SnapshotTest, EverySingleByteSubstitutionIsRejected) {
-  const ArrayDataflowSpace space(8);
-  const Case1SweepCache cache(space, sim_);
-  (void)cache.best({8, 8, 8}, 8);
-  (void)cache.best({16, 4, 32}, 8);
-  (void)cache.save_snapshot(path("fuzz.snap"));
-  const std::string good = read_file(path("fuzz.snap"));
+// The sweeps run once per case study: each case supplies a small warm
+// cache, a fresh victim, and the victim's resident-entry count (both memo
+// levels for case 3).
+
+struct Case1Snapshots {
+  static constexpr std::uint32_t kCaseId = 1;
+  Simulator sim;
+  ArrayDataflowSpace space{8};
+  Case1SweepCache make() const { return Case1SweepCache(space, sim); }
+  void warm(const Case1SweepCache& cache) const {
+    (void)cache.best({8, 8, 8}, 8);
+    (void)cache.best({16, 4, 32}, 8);
+  }
+  static std::size_t entries(const Case1SweepCache& cache) { return cache.stats().entries; }
+};
+
+struct Case2Snapshots {
+  static constexpr std::uint32_t kCaseId = 2;
+  Simulator sim;
+  BufferSizeSpace space;
+  Case2SweepCache make() const { return Case2SweepCache(space, sim); }
+  void warm(const Case2SweepCache& cache) const {
+    (void)cache.best({8, 8, 8}, {16, 32, Dataflow::kOutputStationary}, 10, 600);
+    (void)cache.best({16, 4, 32}, {8, 8, Dataflow::kWeightStationary}, 20, 300);
+  }
+  static std::size_t entries(const Case2SweepCache& cache) { return cache.stats().entries; }
+};
+
+struct Case3Snapshots {
+  static constexpr std::uint32_t kCaseId = 3;
+  Simulator sim;
+  ScheduleSpace space{2};
+  ScheduleSearch search{space,
+                        {{{16, 16, Dataflow::kOutputStationary}, {200, 200, 200, 20}},
+                         {{8, 32, Dataflow::kOutputStationary}, {100, 100, 100, 10}}},
+                        sim};
+  Case3SweepCache make() const { return Case3SweepCache(search); }
+  void warm(const Case3SweepCache& cache) const { (void)cache.best({{8, 8, 8}, {16, 4, 32}}); }
+  static std::size_t entries(const Case3SweepCache& cache) {
+    return cache.stats().entries + cache.array_stats().entries;
+  }
+};
+
+template <typename Snapshots>
+class SnapshotCorruptionTest : public SnapshotTest {
+ protected:
+  Snapshots snapshots_;
+};
+
+struct CaseName {
+  template <typename Snapshots>
+  static std::string GetName(int) {
+    return "Case" + std::to_string(Snapshots::kCaseId);
+  }
+};
+
+using CaseSnapshots = ::testing::Types<Case1Snapshots, Case2Snapshots, Case3Snapshots>;
+TYPED_TEST_SUITE(SnapshotCorruptionTest, CaseSnapshots, CaseName);
+
+TYPED_TEST(SnapshotCorruptionTest, EverySingleByteSubstitutionIsRejected) {
+  const auto cache = this->snapshots_.make();
+  this->snapshots_.warm(cache);
+  (void)cache.save_snapshot(this->path("fuzz.snap"));
+  const std::string good = read_file(this->path("fuzz.snap"));
   ASSERT_GT(good.size(), 0u);
 
   for (std::size_t i = 0; i < good.size(); ++i) {
     std::string bad = good;
     bad[i] = static_cast<char>(static_cast<unsigned char>(bad[i]) ^ 0xA5u);
-    write_file(path("fuzz_bad.snap"), bad);
-    Case1SweepCache victim(space, sim_);
-    EXPECT_THROW((void)victim.load_snapshot(path("fuzz_bad.snap")), ContractViolation)
+    write_file(this->path("fuzz_bad.snap"), bad);
+    auto victim = this->snapshots_.make();
+    EXPECT_THROW((void)victim.load_snapshot(this->path("fuzz_bad.snap")), ContractViolation)
         << "flipped byte " << i << " of " << good.size();
     // Never a partial load: rejection leaves the cache empty.
-    EXPECT_EQ(victim.stats().entries, 0u) << "flipped byte " << i;
+    EXPECT_EQ(TypeParam::entries(victim), 0u) << "flipped byte " << i;
   }
 }
 
-TEST_F(SnapshotTest, EveryTruncationLengthIsRejected) {
-  const ArrayDataflowSpace space(8);
-  const Case1SweepCache cache(space, sim_);
-  (void)cache.best({8, 8, 8}, 8);
-  (void)cache.save_snapshot(path("trunc.snap"));
-  const std::string good = read_file(path("trunc.snap"));
+TYPED_TEST(SnapshotCorruptionTest, EveryTruncationLengthIsRejected) {
+  const auto cache = this->snapshots_.make();
+  this->snapshots_.warm(cache);
+  (void)cache.save_snapshot(this->path("trunc.snap"));
+  const std::string good = read_file(this->path("trunc.snap"));
 
   for (std::size_t len = 0; len < good.size(); ++len) {
-    write_file(path("trunc_bad.snap"), good.substr(0, len));
-    Case1SweepCache victim(space, sim_);
-    EXPECT_THROW((void)victim.load_snapshot(path("trunc_bad.snap")), ContractViolation)
+    write_file(this->path("trunc_bad.snap"), good.substr(0, len));
+    auto victim = this->snapshots_.make();
+    EXPECT_THROW((void)victim.load_snapshot(this->path("trunc_bad.snap")), ContractViolation)
         << "truncated to " << len << " of " << good.size();
-    EXPECT_EQ(victim.stats().entries, 0u);
+    EXPECT_EQ(TypeParam::entries(victim), 0u);
   }
 }
 
-TEST_F(SnapshotTest, WrongVersionWithHonestChecksumIsRejected) {
-  {
-    BinWriter w(path("ver.snap"));
-    w.put_u64(kSnapshotMagic);
-    w.put_u32(kSnapshotFormatVersion + 1);
-    w.put_u32(1);
-    w.put_u64(0);
-    w.put_u64(0);
-    w.put_trailer_checksum();
-    w.finish();
+TYPED_TEST(SnapshotCorruptionTest, WrongVersionWithHonestChecksumIsRejected) {
+  // Version 1 files (the layout before per-section counts) and any future
+  // version; everything but the version is valid, trailer included.
+  for (const std::uint32_t version : {kSnapshotFormatVersion - 1, kSnapshotFormatVersion + 1}) {
+    {
+      BinWriter w(this->path("ver.snap"));
+      w.put_u64(kSnapshotMagic);
+      w.put_u32(version);
+      w.put_u32(TypeParam::kCaseId);
+      w.put_u64(this->snapshots_.make().fingerprint());
+      w.put_u64(0);
+      w.put_trailer_checksum();
+      w.finish();
+    }
+    auto victim = this->snapshots_.make();
+    EXPECT_THROW((void)victim.load_snapshot(this->path("ver.snap")), ContractViolation)
+        << "version " << version;
   }
-  const ArrayDataflowSpace space(8);
-  Case1SweepCache victim(space, sim_);
-  EXPECT_THROW((void)victim.load_snapshot(path("ver.snap")), ContractViolation);
 }
 
 TEST_F(SnapshotTest, MissingFileThrows) {

@@ -197,9 +197,7 @@ TEST(ShardedMemoCache, ComputesOncePerKeyAndCountsHits) {
   EXPECT_EQ(stats.entries, 100u);
   EXPECT_EQ(stats.misses, 100u);
   EXPECT_EQ(stats.hits, 200u);
-  EXPECT_EQ(stats.races, 0u);      // single-threaded: no lost insert races
-  EXPECT_EQ(stats.evictions, 0u);  // unbounded: nothing ever leaves
-  EXPECT_EQ(stats.capacity, 0u);   // 0 = unbounded
+  EXPECT_EQ(stats.races, 0u);  // single-threaded: no lost insert races
 }
 
 TEST(ShardedMemoCache, GetOrUseProjectsUnderTheLock) {
@@ -224,7 +222,7 @@ TEST(ShardedMemoCache, GetOrUseProjectsUnderTheLock) {
 // "race", not a miss) and while other threads snapshot stats()
 // mid-hammer. Runs under TSan via the tsan label on this binary.
 TEST(ShardedMemoCache, StatsInvariantUnderConcurrency) {
-  ShardedMemoCache<std::vector<std::int64_t>, std::int64_t, detail::I64SeqHash> cache(4);
+  ShardedMemoCache<std::vector<std::int64_t>, std::int64_t, detail::I64SeqHash> cache;
   constexpr std::size_t kQueries = 4000;
   constexpr std::int64_t kKeys = 16;  // few keys, many threads: force races
   std::atomic<int> mismatches{0};
@@ -246,120 +244,6 @@ TEST(ShardedMemoCache, StatsInvariantUnderConcurrency) {
   EXPECT_EQ(stats.hits + stats.misses + stats.races, kQueries);
   EXPECT_EQ(stats.misses, static_cast<std::uint64_t>(kKeys));  // one true miss per key
   EXPECT_EQ(stats.entries, static_cast<std::size_t>(kKeys));
-}
-
-// ---------------------------------------------------- bounded eviction
-
-// Bounded caches must stay bit-identical to the naive sweeps: eviction
-// only ever costs recomputation, never changes an answer. Capacities are
-// chosen far below the working set so the clock hand turns over entries
-// constantly.
-
-TEST(ShardedMemoCache, BoundedEvictsAndStaysCorrect) {
-  // 4 shards, cap 2 each: 8 resident entries for a 64-key working set.
-  ShardedMemoCache<std::vector<std::int64_t>, std::int64_t, detail::I64SeqHash> cache(4, 8);
-  EXPECT_EQ(cache.capacity(), 8u);
-  std::atomic<int> computes{0};
-  for (int round = 0; round < 5; ++round) {
-    for (std::int64_t k = 0; k < 64; ++k) {
-      const std::int64_t v = cache.get_or_compute({k, k ^ 7}, [&] {
-        computes.fetch_add(1);
-        return k * 11;
-      });
-      ASSERT_EQ(v, k * 11);
-    }
-  }
-  const CacheStats stats = cache.stats();
-  EXPECT_LE(stats.entries, stats.capacity);
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_GT(computes.load(), 64);  // evicted keys recompute...
-  EXPECT_EQ(stats.hits + stats.misses + stats.races, 5u * 64u);  // ...but are tallied
-}
-
-TEST(Case1SweepCache, BoundedBitIdenticalUnderForcedEviction) {
-  const ArrayDataflowSpace space;
-  const Simulator sim;
-  const ArrayDataflowSearch naive(space, sim);
-  // max_workloads 16 -> 1 resident workload per shard (64 shards); a
-  // 100-workload set collides in many shards, forcing constant turnover.
-  const Case1SweepCache cache(space, sim, 0, 16);
-
-  Rng rng(31);
-  LogUniformGemmSampler sampler;
-  const std::vector<GemmWorkload> keys = sampler.sample_many(rng, 100);
-  for (int round = 0; round < 3; ++round) {
-    for (const GemmWorkload& w : keys) {
-      const int budget_exp = static_cast<int>(rng.uniform_int(4, 20));
-      const auto expect = naive.best(w, budget_exp);
-      const auto got = cache.best(w, budget_exp);
-      ASSERT_EQ(got.label, expect.label) << w.to_string() << " budget_exp=" << budget_exp;
-      ASSERT_EQ(got.cycles, expect.cycles);
-    }
-  }
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.capacity, 64u);  // per-shard cap rounds 16/64 up to 1
-  EXPECT_LE(stats.entries, stats.capacity);
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_EQ(stats.hits + stats.misses, 300u);
-}
-
-TEST(Case2SweepCache, BoundedBitIdenticalUnderForcedEviction) {
-  const BufferSizeSpace space;
-  const Simulator sim;
-  const BufferSearch naive(space, sim);
-  const Case2SweepCache cache(space, sim, /*max_entries=*/8);
-
-  Rng rng(37);
-  LogUniformGemmSampler sampler;
-  std::vector<GemmWorkload> pool;
-  std::vector<Case2Features> queries;
-  for (int i = 0; i < 100; ++i) queries.push_back(sample_case2_query(rng, sampler, pool, space));
-  for (int round = 0; round < 3; ++round) {
-    for (const Case2Features& f : queries) {
-      const auto expect = naive.best(f.workload, f.array, f.bandwidth, f.limit_kb);
-      const auto got = cache.best(f.workload, f.array, f.bandwidth, f.limit_kb);
-      ASSERT_EQ(got.label, expect.label);
-      ASSERT_EQ(got.stall_cycles, expect.stall_cycles);
-      ASSERT_EQ(got.total_kb, expect.total_kb);
-    }
-  }
-  const CacheStats stats = cache.stats();
-  EXPECT_LE(stats.entries, stats.capacity);
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_EQ(stats.hits + stats.misses + stats.races, 300u);
-}
-
-TEST(Case3SweepCache, BoundedBitIdenticalUnderForcedEviction) {
-  const ScheduleSpace space(3);
-  const Simulator sim;
-  const std::vector<ScheduledArray> arrays = {
-      {{32, 32, Dataflow::kOutputStationary}, {400, 400, 400, 50}},
-      {{64, 8, Dataflow::kOutputStationary}, {300, 300, 300, 30}},
-      {{16, 16, Dataflow::kOutputStationary}, {200, 200, 200, 20}},
-  };
-  const ScheduleSearch naive(space, arrays, sim);
-  const Case3SweepCache cache(naive, /*max_entries=*/8);
-
-  Rng rng(41);
-  LogUniformGemmSampler sampler;
-  std::vector<std::vector<GemmWorkload>> queries;
-  for (int i = 0; i < 100; ++i) queries.push_back(sampler.sample_many(rng, 3));
-  for (int round = 0; round < 3; ++round) {
-    for (const auto& wls : queries) {
-      const auto expect = naive.best(wls);
-      const auto got = cache.best(wls);
-      ASSERT_EQ(got.label, expect.label);
-      ASSERT_EQ(got.makespan_cycles, expect.makespan_cycles);
-      ASSERT_EQ(got.energy_pj, expect.energy_pj);
-    }
-  }
-  const CacheStats stats = cache.stats();
-  EXPECT_LE(stats.entries, stats.capacity);
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_EQ(stats.hits + stats.misses + stats.races, 300u);
-  // Both memo levels are bounded; the per-workload level obeys its cap too.
-  const CacheStats astats = cache.array_stats();
-  EXPECT_LE(astats.entries, astats.capacity);
 }
 
 // Labelled tsan (tests/CMakeLists.txt): many real threads hammer one memo
@@ -399,13 +283,12 @@ TEST(ShardedMemoCache, ConcurrentHammerIsRaceFreeAndDeterministic) {
 // locks (common/sync.hpp Mutex/MutexLock instead of raw std::mutex /
 // std::lock_guard): the sync-layer swap must preserve bit-identical labels
 // and the hits+misses+races == queries accounting, including while other
-// threads snapshot stats() mid-hammer. Bounded memo so the CLOCK eviction
-// path also runs under the annotated locks. TSan-labelled via this binary.
+// threads snapshot stats() mid-hammer. TSan-labelled via this binary.
 TEST(Case2SweepCache, StatsInvariantUnderConcurrencyWithMigratedLocks) {
   const BufferSizeSpace space;
   const Simulator sim;
   const BufferSearch naive(space, sim);
-  const Case2SweepCache cache(space, sim, /*max_entries=*/8);
+  const Case2SweepCache cache(space, sim);
 
   Rng rng(43);
   LogUniformGemmSampler sampler;
@@ -433,14 +316,14 @@ TEST(Case2SweepCache, StatsInvariantUnderConcurrencyWithMigratedLocks) {
         // stats() locks each shard in turn mid-hammer; the per-shard
         // slices must stay internally consistent.
         const CacheStats mid = cache.stats();
-        if (mid.entries > mid.capacity) mismatches.fetch_add(1);
+        if (mid.entries > queries.size()) mismatches.fetch_add(1);
       }
     }
   });
   EXPECT_EQ(mismatches.load(), 0);
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses + stats.races, kQueries);
-  EXPECT_LE(stats.entries, stats.capacity);
+  EXPECT_LE(stats.entries, queries.size());
 }
 
 }  // namespace
