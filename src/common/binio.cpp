@@ -98,6 +98,13 @@ std::uint64_t BinReader::get_le(int bytes) {
 
 double BinReader::get_f64() { return std::bit_cast<double>(get_u64()); }
 
+std::uint64_t BinReader::get_count(std::uint64_t min_record_bytes) {
+  const std::uint64_t n = get_u64();
+  AIRCH_CHECK(n <= remaining() / min_record_bytes,
+              "BinReader: record count exceeds the file size (corrupt file): " + path_);
+  return n;
+}
+
 void BinReader::get_bytes(void* out, std::size_t n) { consume(static_cast<unsigned char*>(out), n); }
 
 void BinReader::skip_bytes(std::uint64_t n) { consume(nullptr, n); }

@@ -1,7 +1,9 @@
 #pragma once
 // Checksummed little-endian binary stream primitives, shared by the
-// sweep-cache snapshot format (search/sweep_cache) and the binary dataset
-// format (dataset/binary_io). Both formats follow the same discipline:
+// sweep-cache snapshot format (search/sweep_cache), the binary dataset
+// format (dataset/binary_io) and the recommender model file
+// (core/recommender, with sections from models/neural and
+// dataset/encoding). All three formats follow the same discipline:
 //
 //   header (magic, format version, identity fields, counts)
 //   payload (fixed-width little-endian records)
@@ -167,6 +169,10 @@ class BinReader {
   [[nodiscard]] std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
   [[nodiscard]] std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
   [[nodiscard]] double get_f64();
+  /// Reads a u64 count of records of at least `min_record_bytes` each and
+  /// AIRCH_CHECKs that they fit in remaining(), so the count can size an
+  /// allocation without trusting the file.
+  [[nodiscard]] std::uint64_t get_count(std::uint64_t min_record_bytes);
   void get_bytes(void* out, std::size_t n);
   /// Consumes `n` bytes (folding them into the checksum) without storing.
   void skip_bytes(std::uint64_t n);

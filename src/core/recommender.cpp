@@ -1,18 +1,37 @@
 #include "core/recommender.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <numeric>
 #include <stdexcept>
 
+#include "common/binio.hpp"
 #include "common/check.hpp"
 
 namespace airch {
+
+namespace {
+// Model file format 2: header (magic, version, case id, class count,
+// val_accuracy), the classifier section, the encoder section, trailer.
+constexpr std::uint64_t kModelMagic = 0x4345524843524941ULL;  // "AIRCHREC" little-endian
+constexpr std::uint32_t kModelFormatVersion = 2;
+// The first 8 bytes of a format-1 text file, "airchite(ct-recommender v1)",
+// read as a little-endian u64: recognised only to say why it is rejected.
+constexpr std::uint64_t kTextModelMagic = 0x6574696863726961ULL;
+}  // namespace
 
 Recommender::Recommender(const CaseStudy& study, std::unique_ptr<NeuralClassifier> model,
                          std::unique_ptr<FeatureEncoder> encoder)
     : study_(&study), model_(std::move(model)), encoder_(std::move(encoder)) {
   if (!model_ || !encoder_) throw std::invalid_argument("null model or encoder");
+  // Neither mismatch would fail loudly at query time: a different arity
+  // makes the embedding read past each index row, and different bucket
+  // counts are clamped into the tables, giving silently wrong answers.
+  if (static_cast<std::size_t>(encoder_->num_features()) != model_->fitted_input_dim()) {
+    throw std::invalid_argument("encoder arity differs from the model's fitted input dimension");
+  }
+  if (model_->options().embed_dim > 0 && encoder_->vocab_sizes() != model_->fitted_vocab()) {
+    throw std::invalid_argument("encoder vocab sizes differ from the model's embedding tables");
+  }
 }
 
 Recommender Recommender::train(const CaseStudy& study, const TrainOptions& options) {
@@ -68,34 +87,39 @@ std::vector<std::int32_t> Recommender::recommend_topk(
 }
 
 void Recommender::save(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open for writing: " + path);
-  os << "airchitect-recommender v1\n";
-  os << static_cast<int>(study_->id()) << ' ' << study_->num_classes() << '\n';
-  // max_digits10 = 17 so the double round-trips exactly; the default
-  // 6-digit formatting silently degraded val_accuracy on reload.
-  os.precision(17);
-  os << report_.val_accuracy << '\n';
-  model_->save(os);
-  encoder_->save(os);
-  if (!os) throw std::runtime_error("write failed: " + path);
+  BinWriter out(path);
+  out.put_u64(kModelMagic);
+  out.put_u32(kModelFormatVersion);
+  out.put_u32(static_cast<std::uint32_t>(study_->id()));
+  out.put_u32(static_cast<std::uint32_t>(study_->num_classes()));
+  out.put_f64(report_.val_accuracy);
+  model_->save(out);
+  encoder_->save(out);
+  out.put_trailer_checksum();
+  out.finish();
 }
 
 Recommender Recommender::load(const std::string& path, const CaseStudy& study) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("cannot open for reading: " + path);
-  std::string magic, version;
-  if (!(is >> magic >> version) || magic != "airchitect-recommender" || version != "v1") {
-    throw std::runtime_error("bad recommender header");
+  BinReader in(path);
+  const std::uint64_t magic = in.get_u64();
+  AIRCH_CHECK(magic != kTextModelMagic,
+              path + " is a text model file that predates format 2; retrain the model");
+  AIRCH_CHECK(magic == kModelMagic, "not a recommender model file: " + path);
+  const std::uint32_t version = in.get_u32();
+  AIRCH_CHECK(version == kModelFormatVersion, "unsupported model format version in " + path);
+  const std::uint32_t case_id = in.get_u32();
+  const std::uint32_t classes = in.get_u32();
+  const double val_acc = in.get_f64();
+  auto model = NeuralClassifier::load(in);
+  auto encoder = std::make_unique<FeatureEncoder>(FeatureEncoder::load(in));
+  in.verify_trailer_checksum();
+  AIRCH_CHECK(in.remaining() == 0, "trailing bytes after the checksum in " + path);
+  // Checked only once the checksum has vouched for the header, so a
+  // corrupt case id reads as corruption, not as a wrong case study.
+  if (case_id != static_cast<std::uint32_t>(study.id()) ||
+      classes != static_cast<std::uint32_t>(study.num_classes())) {
+    throw std::runtime_error("recommender was trained for a different case study: " + path);
   }
-  int case_id = 0, classes = 0;
-  double val_acc = 0.0;
-  if (!(is >> case_id >> classes >> val_acc)) throw std::runtime_error("bad recommender metadata");
-  if (case_id != static_cast<int>(study.id()) || classes != study.num_classes()) {
-    throw std::runtime_error("recommender was trained for a different case study");
-  }
-  auto model = NeuralClassifier::load(is);
-  auto encoder = std::make_unique<FeatureEncoder>(FeatureEncoder::load(is));
   Recommender rec(study, std::move(model), std::move(encoder));
   rec.report_.val_accuracy = val_acc;
   return rec;

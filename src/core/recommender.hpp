@@ -35,7 +35,10 @@ class Recommender {
   /// `study` must outlive the recommender.
   static Recommender train(const CaseStudy& study, const TrainOptions& options = {});
 
-  /// Wraps an already-fitted classifier (ownership transferred).
+  /// Wraps an already-fitted classifier (ownership transferred). Throws
+  /// std::invalid_argument unless the encoder's arity is the model's fitted
+  /// input dimension and, for an embedding model, its vocab sizes are the
+  /// ones the embedding tables were built for.
   Recommender(const CaseStudy& study, std::unique_ptr<NeuralClassifier> model,
               std::unique_ptr<FeatureEncoder> encoder);
 
@@ -56,10 +59,14 @@ class Recommender {
                                            int k) const;
 
   /// Persistence: a saved recommender can be reloaded and queried without
-  /// regenerating data or retraining.
+  /// regenerating data or retraining. The file is binary model format 2
+  /// (common/binio framing: header, classifier and encoder sections,
+  /// checksum trailer); weights and val_accuracy round-trip bit-exactly.
   void save(const std::string& path) const;
   /// `study` must be the same case study (id and output-space size are
-  /// verified) and must outlive the recommender.
+  /// verified) and must outlive the recommender. A missing file or another
+  /// case study's model throws std::runtime_error; a corrupt, truncated,
+  /// trailing-garbage or format-1 (text) file throws ContractViolation.
   static Recommender load(const std::string& path, const CaseStudy& study);
 
   /// Typed queries; each checks that the underlying study matches.

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
+#include "common/binio.hpp"
 #include "common/check.hpp"
 
 namespace airch {
@@ -216,48 +215,53 @@ ml::Matrix FeatureEncoder::encode_float_batch(
   return out;
 }
 
-void FeatureEncoder::save(std::ostream& os) const {
-  os << "encoder v1 " << columns_.size() << "\n";
-  os.precision(17);
+void FeatureEncoder::save(BinWriter& out) const {
+  out.put_u64(columns_.size());
   for (const auto& c : columns_) {
-    os << (c.exact ? "exact" : "quantile") << ' ' << c.mean << ' ' << c.stddev << ' ';
+    out.put_u32(c.exact ? 1 : 0);
+    out.put_f64(c.mean);
+    out.put_f64(c.stddev);
     if (c.exact) {
-      os << c.value_to_index.size();
-      for (const auto& [v, idx] : c.value_to_index) os << ' ' << v << ' ' << idx;
+      out.put_u64(c.value_to_index.size());
+      for (const auto& [v, idx] : c.value_to_index) {
+        out.put_i64(v);
+        out.put_i32(idx);
+      }
     } else {
-      os << c.boundaries.size();
-      for (auto b : c.boundaries) os << ' ' << b;
+      out.put_u64(c.boundaries.size());
+      for (const auto b : c.boundaries) out.put_i64(b);
     }
-    os << '\n';
   }
 }
 
-FeatureEncoder FeatureEncoder::load(std::istream& is) {
-  std::string magic, version;
-  std::size_t ncols = 0;
-  if (!(is >> magic >> version >> ncols) || magic != "encoder" || version != "v1") {
-    throw std::runtime_error("bad encoder header");
-  }
+FeatureEncoder FeatureEncoder::load(BinReader& in) {
+  // Smallest encodings: a column is kind + mean + stddev + count (28
+  // bytes), an exact entry is value + index (12), a boundary is 8.
   FeatureEncoder enc;
-  enc.columns_.resize(ncols);
+  enc.columns_.resize(in.get_count(28));
   for (auto& c : enc.columns_) {
-    std::string kind;
-    std::size_t n = 0;
-    if (!(is >> kind >> c.mean >> c.stddev >> n)) throw std::runtime_error("bad encoder column");
-    c.exact = kind == "exact";
-    if (!c.exact && kind != "quantile") throw std::runtime_error("bad encoder column kind");
+    const std::uint32_t kind = in.get_u32();
+    AIRCH_CHECK(kind <= 1, "encoder: unknown column kind");
+    c.exact = kind == 1;
+    c.mean = in.get_f64();
+    c.stddev = in.get_f64();
     if (c.exact) {
-      for (std::size_t i = 0; i < n; ++i) {
-        std::int64_t v;
-        std::int32_t idx;
-        if (!(is >> v >> idx)) throw std::runtime_error("bad encoder vocab entry");
-        c.value_to_index[v] = idx;
+      const std::uint64_t n = in.get_count(12);
+      AIRCH_CHECK(n >= 1, "encoder: exact column without values");
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::int64_t v = in.get_i64();
+        const std::int32_t idx = in.get_i32();
+        AIRCH_CHECK(c.value_to_index.empty() || v > c.value_to_index.rbegin()->first,
+                    "encoder: exact values not strictly increasing");
+        AIRCH_CHECK(idx >= 0 && static_cast<std::uint64_t>(idx) < n,
+                    "encoder: bucket index outside the column's vocab");
+        c.value_to_index.emplace_hint(c.value_to_index.end(), v, idx);
       }
     } else {
-      c.boundaries.resize(n);
-      for (auto& b : c.boundaries) {
-        if (!(is >> b)) throw std::runtime_error("bad encoder boundary");
-      }
+      c.boundaries.resize(in.get_count(8));
+      for (auto& b : c.boundaries) b = in.get_i64();
+      AIRCH_CHECK(std::is_sorted(c.boundaries.begin(), c.boundaries.end()),
+                  "encoder: quantile boundaries not sorted");
     }
   }
   return enc;

@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <vector>
 
@@ -25,6 +24,9 @@
 #include "ml/matrix.hpp"
 
 namespace airch {
+
+class BinReader;
+class BinWriter;
 
 class FeatureEncoder {
  public:
@@ -70,9 +72,14 @@ class FeatureEncoder {
   ml::IntBatch encode_int_batch(const std::vector<std::vector<std::int64_t>>& queries) const;
   ml::Matrix encode_float_batch(const std::vector<std::vector<std::int64_t>>& queries) const;
 
-  /// Text serialization (used by Recommender::save/load).
-  void save(std::ostream& os) const;
-  static FeatureEncoder load(std::istream& is);
+  /// Binary section of a recommender model file (Recommender::save/load):
+  /// per column the kind, mean and stddev (IEEE-754 bit patterns), then the
+  /// exact value->index map or the quantile boundaries. load() checks every
+  /// count against the bytes left in the file and rejects maps and
+  /// boundaries bucket_of() could not search; corruption and truncation
+  /// throw ContractViolation.
+  void save(BinWriter& out) const;
+  static FeatureEncoder load(BinReader& in);
 
  private:
   FeatureEncoder() = default;  // for load()

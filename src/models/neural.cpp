@@ -1,11 +1,12 @@
 #include "models/neural.hpp"
 
 #include <algorithm>
-#include <istream>
+#include <bit>
 #include <numeric>
-#include <ostream>
 #include <stdexcept>
 
+#include "common/binio.hpp"
+#include "common/check.hpp"
 #include "dataset/binary_io.hpp"
 
 namespace airch {
@@ -197,69 +198,97 @@ void NeuralClassifier::build_net(std::size_t classes, std::size_t input_dim,
   }
 }
 
-void NeuralClassifier::save(std::ostream& os) const {
+void NeuralClassifier::save(BinWriter& out) const {
   if (!net_) throw std::logic_error("save before fit");
-  os << "neural-classifier v1\n";
-  os << name_ << '\n';
-  os.precision(17);
-  os << options_.embed_dim << ' ' << options_.hidden.size();
-  for (auto h : options_.hidden) os << ' ' << h;
-  os << ' ' << options_.learning_rate << ' ' << options_.dropout << ' ' << options_.seed << '\n';
-  os << net_->num_classes() << ' ' << fitted_input_dim_ << ' ' << fitted_vocab_.size();
-  for (auto v : fitted_vocab_) os << ' ' << v;
-  os << '\n';
-  // Weights, one tensor per line. float -> text round-trips exactly at
-  // max_digits10 = 9 significant digits.
-  os.precision(9);
+  out.put_u64(name_.size());
+  out.put_bytes(name_.data(), name_.size());
+  out.put_u64(options_.embed_dim);
+  out.put_u64(options_.hidden.size());
+  for (const auto h : options_.hidden) out.put_u64(h);
+  out.put_f64(options_.learning_rate);
+  out.put_f64(options_.dropout);
+  out.put_u64(options_.seed);
+  out.put_u64(net_->num_classes());
+  out.put_u64(fitted_input_dim_);
+  out.put_u64(fitted_vocab_.size());
+  for (const auto v : fitted_vocab_) out.put_i32(v);
   const auto params = std::as_const(*net_).params();
-  os << params.size() << '\n';
+  out.put_u64(params.size());
   for (const auto& p : params) {
-    os << p.size;
-    for (std::size_t i = 0; i < p.size; ++i) os << ' ' << p.value[i];
-    os << '\n';
+    out.put_u64(p.size);
+    for (std::size_t i = 0; i < p.size; ++i) out.put_u32(std::bit_cast<std::uint32_t>(p.value[i]));
   }
 }
 
-std::unique_ptr<NeuralClassifier> NeuralClassifier::load(std::istream& is) {
-  std::string magic, version;
-  if (!(is >> magic >> version) || magic != "neural-classifier" || version != "v1") {
-    throw std::runtime_error("bad neural-classifier header");
-  }
-  std::string name;
-  if (!(is >> name)) throw std::runtime_error("bad classifier name");
+namespace {
+
+/// Adds a * b parameters to `total`, failing once the sum passes `cap`.
+/// total <= cap on entry and the product is bounded by cap - total before
+/// it is formed, so neither step can overflow.
+void add_params(std::uint64_t& total, std::uint64_t a, std::uint64_t b, std::uint64_t cap) {
+  AIRCH_CHECK(a == 0 || b <= (cap - total) / a,
+              "model file: parameter shape exceeds the file size");
+  total += a * b;
+}
+
+}  // namespace
+
+std::unique_ptr<NeuralClassifier> NeuralClassifier::load(BinReader& in) {
+  std::string name(in.get_count(1), '\0');
+  in.get_bytes(name.data(), name.size());
   Options o;
-  std::size_t hidden_count = 0;
-  if (!(is >> o.embed_dim >> hidden_count)) throw std::runtime_error("bad architecture");
-  o.hidden.resize(hidden_count);
+  o.embed_dim = in.get_u64();
+  o.hidden.resize(in.get_count(8));
   for (auto& h : o.hidden) {
-    if (!(is >> h)) throw std::runtime_error("bad hidden dims");
+    h = in.get_u64();
+    AIRCH_CHECK(h >= 1, "model file: zero-width hidden layer");
   }
-  if (!(is >> o.learning_rate >> o.dropout >> o.seed)) {
-    throw std::runtime_error("bad hyperparameters");
-  }
+  o.learning_rate = in.get_f64();
+  o.dropout = in.get_f64();
+  AIRCH_CHECK(o.dropout >= 0.0 && o.dropout < 1.0, "model file: dropout rate outside [0, 1)");
+  o.seed = in.get_u64();
 
-  std::size_t classes = 0, input_dim = 0, vocab_count = 0;
-  if (!(is >> classes >> input_dim >> vocab_count)) throw std::runtime_error("bad shape line");
-  std::vector<int> vocab(vocab_count);
+  const std::uint64_t classes = in.get_u64();
+  const std::uint64_t input_dim = in.get_u64();
+  AIRCH_CHECK(classes >= 1 && input_dim >= 1, "model file: empty network shape");
+  std::vector<int> vocab(in.get_count(4));
   for (auto& v : vocab) {
-    if (!(is >> v)) throw std::runtime_error("bad vocab sizes");
+    v = in.get_i32();
+    AIRCH_CHECK(v >= 1, "model file: embedding vocab size below 1");
   }
+  AIRCH_CHECK(o.embed_dim > 0 ? vocab.size() == input_dim : vocab.empty(),
+              "model file: vocab list does not match the input modality");
 
-  auto clf = std::make_unique<NeuralClassifier>(name, o);
+  // The network is about to allocate every parameter the shape implies;
+  // each is stored as 4 bytes, so a shape that needs more than the file
+  // holds is corrupt and must fail before build_net, not after.
+  const std::uint64_t cap = in.remaining() / 4;
+  std::uint64_t implied = 0;
+  std::uint64_t width = input_dim;
+  if (o.embed_dim > 0) {
+    for (const int v : vocab) add_params(implied, static_cast<std::uint64_t>(v), o.embed_dim, cap);
+    width = input_dim * o.embed_dim;  // <= implied, since every vocab is >= 1
+  }
+  for (const std::uint64_t h : o.hidden) {
+    add_params(implied, width, h, cap);
+    add_params(implied, 1, h, cap);
+    width = h;
+  }
+  add_params(implied, width, classes, cap);
+  add_params(implied, 1, classes, cap);
+
+  auto clf = std::make_unique<NeuralClassifier>(std::move(name), o);
   clf->fitted_input_dim_ = input_dim;
-  clf->fitted_vocab_ = vocab;
-  clf->build_net(classes, input_dim, vocab);
+  clf->fitted_vocab_ = std::move(vocab);
+  clf->build_net(classes, input_dim, clf->fitted_vocab_);
 
-  std::size_t param_count = 0;
-  if (!(is >> param_count)) throw std::runtime_error("bad parameter count");
-  auto params = clf->net_->params();
-  if (params.size() != param_count) throw std::runtime_error("parameter tensor count mismatch");
+  const auto params = clf->net_->params();
+  const std::uint64_t tensors = in.get_u64();
+  AIRCH_CHECK(tensors == params.size(), "model file: parameter tensor count mismatch");
   for (const auto& p : params) {
-    std::size_t size = 0;
-    if (!(is >> size) || size != p.size) throw std::runtime_error("parameter size mismatch");
-    for (std::size_t i = 0; i < p.size; ++i) {
-      if (!(is >> p.value[i])) throw std::runtime_error("truncated weights");
-    }
+    const std::uint64_t size = in.get_u64();
+    AIRCH_CHECK(size == p.size, "model file: parameter tensor size mismatch");
+    for (std::size_t i = 0; i < p.size; ++i) p.value[i] = std::bit_cast<float>(in.get_u32());
   }
   return clf;
 }

@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,6 +17,8 @@
 namespace airch {
 
 class BatchStream;
+class BinReader;
+class BinWriter;
 
 class NeuralClassifier final : public Classifier {
  public:
@@ -67,11 +68,22 @@ class NeuralClassifier final : public Classifier {
 
   const Options& options() const { return options_; }
 
-  /// Text serialization of the fitted network (architecture + weights).
-  /// Throws std::logic_error before fit().
-  void save(std::ostream& os) const;
-  /// Rebuilds a fitted classifier saved with save().
-  static std::unique_ptr<NeuralClassifier> load(std::istream& is);
+  /// Input shape the network was fitted with (0 and empty before fit):
+  /// the feature arity and, in embedding mode, the per-feature vocab sizes
+  /// its embedding tables were built for (empty in float mode).
+  std::size_t fitted_input_dim() const { return fitted_input_dim_; }
+  const std::vector<int>& fitted_vocab() const { return fitted_vocab_; }
+
+  /// Binary section of a recommender model file (core/recommender.cpp
+  /// owns the header and trailer): name, options, fitted shape, then each
+  /// parameter tensor as a u64 size and its floats' IEEE-754 bit patterns,
+  /// so weights round-trip bit-exactly. Throws std::logic_error before fit().
+  void save(BinWriter& out) const;
+  /// Rebuilds a fitted classifier saved with save(). Every count is checked
+  /// against the bytes left in the file before it sizes an allocation, and
+  /// the parameter count the shape implies must fit in them before the
+  /// network is built; corruption and truncation throw ContractViolation.
+  static std::unique_ptr<NeuralClassifier> load(BinReader& in);
 
  private:
   bool uses_embedding() const { return options_.embed_dim > 0; }

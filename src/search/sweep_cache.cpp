@@ -592,11 +592,8 @@ void put_section(BinWriter& w, const Records& records, const Encode& encode) {
 /// bounded by the bytes left, at `min_record_bytes` per record, before it
 /// sizes the vector.
 template <typename Decode>
-auto get_section(BinReader& r, const std::string& path, std::uint64_t min_record_bytes,
-                 const Decode& decode) {
-  const std::uint64_t n = r.get_u64();
-  AIRCH_CHECK(n <= r.remaining() / min_record_bytes,
-              "snapshot entry count exceeds file size: " + path);
+auto get_section(BinReader& r, std::uint64_t min_record_bytes, const Decode& decode) {
+  const std::uint64_t n = r.get_count(min_record_bytes);
   std::vector<decltype(decode())> records;
   records.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) records.push_back(decode());
@@ -658,7 +655,7 @@ SnapshotStats Case1SweepCache::load_snapshot(const std::string& path) {
   std::vector<Result> payload;
   read_snapshot(path, 1, fingerprint(), [&](BinReader& r) {
     // Smallest legal record: 24-byte key + 4-byte bound + one 12-byte result.
-    staged = get_section(r, path, 40, [&] {
+    staged = get_section(r, 40, [&] {
       SpanRecord rec;
       for (std::int64_t& v : rec.key) v = r.get_i64();
       rec.max_exp = r.get_i32();
@@ -728,7 +725,7 @@ SnapshotStats Case2SweepCache::load_snapshot(const std::string& path) {
   std::vector<std::pair<Key, Table>> staged;
   read_snapshot(path, 2, fingerprint(), [&](BinReader& r) {
     const std::uint64_t record_bytes = 7 * 8 + 4 + static_cast<std::uint64_t>(nbuckets) * 20;
-    staged = get_section(r, path, record_bytes, [&] {
+    staged = get_section(r, record_bytes, [&] {
       Key key{};
       for (std::int64_t& v : key) v = r.get_i64();
       AIRCH_CHECK(key[0] >= 1 && key[1] >= 1 && key[2] >= 1 && key[3] >= 1 && key[4] >= 1,
@@ -812,7 +809,7 @@ SnapshotStats Case3SweepCache::load_snapshot(const std::string& path) {
   std::vector<std::pair<Key, ScheduleSearch::Result>> vectors;
   read_snapshot(path, 3, fingerprint(), [&](BinReader& r) {
     // 24-byte key + 8 blocks of 3 cycles + 3 energies.
-    arrays = get_section(r, path, 24 + 8 * (3 * 8 + 3 * 8), [&] {
+    arrays = get_section(r, 24 + 8 * (3 * 8 + 3 * 8), [&] {
       WorkloadKey key{};
       for (std::int64_t& v : key) v = r.get_i64();
       AIRCH_CHECK(key[0] >= 1 && key[1] >= 1 && key[2] >= 1,
@@ -834,7 +831,7 @@ SnapshotStats Case3SweepCache::load_snapshot(const std::string& path) {
     });
     // u32 arity + the key + label, makespan, energy.
     const auto vector_bytes = static_cast<std::uint64_t>(4 + 3 * n_arrays * 8 + 4 + 8 + 8);
-    vectors = get_section(r, path, vector_bytes, [&] {
+    vectors = get_section(r, vector_bytes, [&] {
       const std::uint32_t len = r.get_u32();
       AIRCH_CHECK(len == static_cast<std::uint32_t>(3 * n_arrays),
                   "snapshot key arity does not match space: " + path);

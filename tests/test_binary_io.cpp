@@ -10,8 +10,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +18,8 @@
 #include "common/rng.hpp"
 #include "dataset/encoding.hpp"
 #include "models/neural.hpp"
+
+#include "file_bytes.hpp"
 
 namespace airch {
 namespace {
@@ -52,17 +52,8 @@ void expect_identical(const Dataset& a, const Dataset& b) {
   }
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-void write_file(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
+using test::read_file;
+using test::write_file;
 
 class BinaryIoTest : public ::testing::Test {
  protected:

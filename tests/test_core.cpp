@@ -160,5 +160,36 @@ TEST(Recommender, LabelQueryInRange) {
   EXPECT_LT(label, study.num_classes());
 }
 
+TEST(Recommender, RejectsEncoderThatDoesNotFitTheModel) {
+  // The checks guard query time: a wrong bucket count would be clamped
+  // into the embedding tables (silently wrong answers) and a wrong arity
+  // would read past each index row.
+  ArrayDataflowStudy study(Case1Config{5, 10, {}}, 10);
+  const Dataset data = study.generate(400, 13);
+  auto model = make_airchitect(1, 1);
+  const FeatureEncoder fitted(data);
+  model->fit(data, {}, fitted);
+  auto coarse = std::make_unique<FeatureEncoder>(data, 8);
+  ASSERT_NE(coarse->vocab_sizes(), fitted.vocab_sizes());
+  EXPECT_THROW(Recommender(study, std::move(model), std::move(coarse)), std::invalid_argument);
+
+  Dataset narrow({"m", "n", "k"}, study.num_classes());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const auto& f = data[i].features;
+    narrow.add({{f[1], f[2], f[3]}, data[i].label});
+  }
+  auto mlp = make_mlp_a(1, 1);
+  mlp->fit(data, {}, fitted);
+  EXPECT_THROW(Recommender(study, std::move(mlp), std::make_unique<FeatureEncoder>(narrow)),
+               std::invalid_argument);
+
+  // A float model reads only the encoder's per-column statistics, which
+  // do not depend on the bucket count.
+  auto mlp_ok = make_mlp_a(1, 1);
+  mlp_ok->fit(data, {}, fitted);
+  EXPECT_NO_THROW(
+      Recommender(study, std::move(mlp_ok), std::make_unique<FeatureEncoder>(data, 8)));
+}
+
 }  // namespace
 }  // namespace airch

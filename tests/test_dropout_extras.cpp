@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "common/binio.hpp"
 #include "ml/dropout.hpp"
 #include "models/neural.hpp"
 #include "workload/model_zoo.hpp"
@@ -122,9 +126,14 @@ TEST(DropoutClassifier, SerializationRoundTrips) {
   const Dataset train = tiny_task(300, 7);
   const FeatureEncoder enc(train);
   clf.fit(train, {}, enc);
-  std::stringstream ss;
-  clf.save(ss);
-  auto loaded = NeuralClassifier::load(ss);
+  const std::string path = ::testing::TempDir() + "dropout_io.bin";
+  {
+    BinWriter out(path);
+    clf.save(out);
+  }
+  BinReader in(path);
+  auto loaded = NeuralClassifier::load(in);
+  std::remove(path.c_str());
   const Dataset test = tiny_task(100, 8);
   EXPECT_EQ(loaded->predict(test, enc), clf.predict(test, enc));
   EXPECT_DOUBLE_EQ(loaded->options().dropout, 0.25);

@@ -1,14 +1,24 @@
-// Persistence round-trips: a saved encoder / classifier / recommender must
-// reload to bit-identical predictions.
+// Model files (binary format 2): a saved encoder / classifier / recommender
+// must reload to bit-identical parameters and predictions, and — the
+// hardening half — every single-byte substitution, every truncation,
+// trailing bytes and a format-1 text file must throw ContractViolation,
+// never misparse or crash.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/binio.hpp"
+#include "common/check.hpp"
 #include "core/recommender.hpp"
 #include "dataset/encoding.hpp"
 #include "models/neural.hpp"
+
+#include "file_bytes.hpp"
 
 namespace airch {
 namespace {
@@ -25,12 +35,43 @@ Dataset synthetic(std::size_t n, std::uint64_t seed) {
   return ds;
 }
 
-TEST(EncoderSerialization, RoundTripBuckets) {
+using test::read_file;
+using test::write_file;
+
+/// Temp-file paths private to this binary, removed after each test.
+class TempFiles : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    for (const auto& p : paths_) std::remove(p.c_str());
+  }
+  std::string path(const std::string& name) {
+    paths_.push_back(::testing::TempDir() + "serialization_" + name);
+    return paths_.back();
+  }
+
+ private:
+  std::vector<std::string> paths_;
+};
+
+/// Writes one bare section (no recommender header or trailer).
+template <typename T>
+void save_section(const T& section, const std::string& path) {
+  BinWriter out(path);
+  section.save(out);
+  out.finish();
+}
+
+using EncoderSerialization = TempFiles;
+using ClassifierSerialization = TempFiles;
+using RecommenderSerialization = TempFiles;
+
+TEST_F(EncoderSerialization, RoundTripBuckets) {
   const Dataset ds = synthetic(500, 1);
   const FeatureEncoder enc(ds, 16);
-  std::stringstream ss;
-  enc.save(ss);
-  const FeatureEncoder loaded = FeatureEncoder::load(ss);
+  save_section(enc, path("enc.bin"));
+  BinReader in(path("enc.bin"));
+  const FeatureEncoder loaded = FeatureEncoder::load(in);
+  EXPECT_EQ(in.remaining(), 0u);
 
   EXPECT_EQ(loaded.vocab_sizes(), enc.vocab_sizes());
   Rng rng(2);
@@ -44,17 +85,20 @@ TEST(EncoderSerialization, RoundTripBuckets) {
     const auto a = enc.encode_float(f);
     const auto b = loaded.encode_float(f);
     for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_FLOAT_EQ(a.data()[i], b.data()[i]);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(a.data()[i]), std::bit_cast<std::uint32_t>(b.data()[i]));
     }
   }
 }
 
-TEST(EncoderSerialization, RejectsGarbage) {
-  std::stringstream ss("not an encoder");
-  EXPECT_THROW(FeatureEncoder::load(ss), std::runtime_error);
+TEST_F(EncoderSerialization, RejectsGarbage) {
+  // "not an e" read as the column count is far more columns than the file
+  // holds: rejected before it sizes anything.
+  write_file(path("garbage.bin"), "not an encoder");
+  BinReader in(path("garbage.bin"));
+  EXPECT_THROW(FeatureEncoder::load(in), ContractViolation);
 }
 
-TEST(ClassifierSerialization, RoundTripPredictions) {
+TEST_F(ClassifierSerialization, RoundTripPredictions) {
   const Dataset train = synthetic(1000, 3);
   const Dataset test = synthetic(300, 4);
   const FeatureEncoder enc(train);
@@ -62,17 +106,17 @@ TEST(ClassifierSerialization, RoundTripPredictions) {
   auto clf = make_airchitect(1, 4);
   clf->fit(train, {}, enc);
 
-  std::stringstream ss;
-  clf->save(ss);
-  auto loaded = NeuralClassifier::load(ss);
+  save_section(*clf, path("clf.bin"));
+  BinReader in(path("clf.bin"));
+  auto loaded = NeuralClassifier::load(in);
 
   EXPECT_EQ(loaded->name(), clf->name());
-  const auto orig_preds = clf->predict(test, enc);
-  const auto loaded_preds = loaded->predict(test, enc);
-  EXPECT_EQ(orig_preds, loaded_preds);
+  EXPECT_EQ(loaded->fitted_input_dim(), clf->fitted_input_dim());
+  EXPECT_EQ(loaded->fitted_vocab(), clf->fitted_vocab());
+  EXPECT_EQ(loaded->predict(test, enc), clf->predict(test, enc));
 }
 
-TEST(ClassifierSerialization, FloatModalityRoundTrip) {
+TEST_F(ClassifierSerialization, FloatModalityRoundTrip) {
   const Dataset train = synthetic(1000, 5);
   const Dataset test = synthetic(200, 6);
   const FeatureEncoder enc(train);
@@ -80,36 +124,30 @@ TEST(ClassifierSerialization, FloatModalityRoundTrip) {
   auto clf = make_mlp_a(1, 3);
   clf->fit(train, {}, enc);
 
-  std::stringstream ss;
-  clf->save(ss);
-  auto loaded = NeuralClassifier::load(ss);
+  save_section(*clf, path("mlp.bin"));
+  BinReader in(path("mlp.bin"));
+  auto loaded = NeuralClassifier::load(in);
+  EXPECT_TRUE(loaded->fitted_vocab().empty());
   EXPECT_EQ(loaded->predict(test, enc), clf->predict(test, enc));
 }
 
-TEST(ClassifierSerialization, SaveBeforeFitThrows) {
+TEST_F(ClassifierSerialization, SaveBeforeFitThrows) {
   auto clf = make_mlp_a(1, 3);
-  std::stringstream ss;
-  EXPECT_THROW(clf->save(ss), std::logic_error);
+  BinWriter out(path("unfitted.bin"));
+  EXPECT_THROW(clf->save(out), std::logic_error);
 }
 
-TEST(ClassifierSerialization, TruncatedStreamRejected) {
+TEST_F(ClassifierSerialization, TruncatedStreamRejected) {
   const Dataset train = synthetic(500, 7);
   const FeatureEncoder enc(train);
   auto clf = make_mlp_a(1, 2);
   clf->fit(train, {}, enc);
-  std::stringstream ss;
-  clf->save(ss);
-  const std::string full = ss.str();
-  std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW(NeuralClassifier::load(truncated), std::runtime_error);
+  save_section(*clf, path("full.bin"));
+  const std::string full = read_file(path("full.bin"));
+  write_file(path("half.bin"), full.substr(0, full.size() / 2));
+  BinReader in(path("half.bin"));
+  EXPECT_THROW(NeuralClassifier::load(in), ContractViolation);
 }
-
-class RecommenderSerialization : public ::testing::Test {
- protected:
-  void SetUp() override { path_ = ::testing::TempDir() + "rec_test.airch"; }
-  void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_;
-};
 
 TEST_F(RecommenderSerialization, RoundTripQueries) {
   ArrayDataflowStudy study(Case1Config{5, 10, {}}, 10);
@@ -117,9 +155,9 @@ TEST_F(RecommenderSerialization, RoundTripQueries) {
   opts.dataset_size = 2000;
   opts.epochs = 3;
   const Recommender rec = Recommender::train(study, opts);
-  rec.save(path_);
+  rec.save(path("rec.airch"));
 
-  const Recommender loaded = Recommender::load(path_, study);
+  const Recommender loaded = Recommender::load(path("rec.airch"), study);
   EXPECT_DOUBLE_EQ(loaded.report().val_accuracy, rec.report().val_accuracy);
 
   Rng rng(11);
@@ -131,15 +169,41 @@ TEST_F(RecommenderSerialization, RoundTripQueries) {
   }
 }
 
+TEST_F(RecommenderSerialization, ParametersAndValAccuracyBitIdenticalAfterReload) {
+  // The file stores every parameter tensor as its floats' bit patterns and
+  // val_accuracy, means and stddevs as f64 bit patterns, so a reloaded
+  // model that saves to the same bytes holds bit-identical parameters.
+  ArrayDataflowStudy study(Case1Config{5, 10, {}}, 10);
+  Recommender::TrainOptions opts;
+  opts.dataset_size = 990;
+  opts.epochs = 2;
+  const Recommender embedding = Recommender::train(study, opts);
+
+  const Dataset data = study.generate(600, 3);
+  auto enc = std::make_unique<FeatureEncoder>(data);
+  auto mlp = make_mlp_c(5, 2);
+  mlp->fit(data, {}, *enc);
+  const Recommender floats(study, std::move(mlp), std::move(enc));
+
+  for (const Recommender* rec : {&embedding, &floats}) {
+    rec->save(path("first.airch"));
+    const Recommender loaded = Recommender::load(path("first.airch"), study);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded.report().val_accuracy),
+              std::bit_cast<std::uint64_t>(rec->report().val_accuracy));
+    loaded.save(path("second.airch"));
+    EXPECT_EQ(read_file(path("second.airch")), read_file(path("first.airch")));
+  }
+}
+
 TEST_F(RecommenderSerialization, WrongStudyRejected) {
   ArrayDataflowStudy study(Case1Config{5, 10, {}}, 10);
   Recommender::TrainOptions opts;
   opts.dataset_size = 1000;
   opts.epochs = 2;
-  Recommender::train(study, opts).save(path_);
+  Recommender::train(study, opts).save(path("case1.airch"));
 
   SchedulingStudy other;
-  EXPECT_THROW(Recommender::load(path_, other), std::runtime_error);
+  EXPECT_THROW(Recommender::load(path("case1.airch"), other), std::runtime_error);
 }
 
 TEST_F(RecommenderSerialization, MissingFileRejected) {
@@ -175,12 +239,10 @@ TEST(RecommenderTopK, OrderedAndContainsTop1) {
 }
 
 TEST_F(RecommenderSerialization, ValAccuracyRoundTripsExactly) {
-  // save() must write val_accuracy at max_digits10 like the weights; the
-  // old 6-digit default truncated it, so load() saw a different double.
-  // Pin with a value 6 digits cannot represent: 990 points at a 0.9 split
-  // leave 99 validation samples, and k/99 has a repeating decimal for every
-  // k except 0 and 99 — so any non-degenerate accuracy differs from its
-  // 6-digit rendering.
+  // val_accuracy travels as its f64 bit pattern. Pin with a value a 6-digit
+  // decimal rendering cannot represent: 990 points at a 0.9 split leave 99
+  // validation samples, and k/99 has a repeating decimal for every k
+  // except 0 and 99.
   ArrayDataflowStudy study(Case1Config{5, 10, {}}, 10);
   Recommender::TrainOptions opts;
   opts.dataset_size = 990;
@@ -189,14 +251,86 @@ TEST_F(RecommenderSerialization, ValAccuracyRoundTripsExactly) {
 
   const double acc = rec.report().val_accuracy;
   std::ostringstream six;
-  six << acc;  // the old code path: default 6-digit formatting
+  six << acc;
   ASSERT_NE(std::stod(six.str()), acc)
       << "val_accuracy happened to be 6-digit exact; pick a dataset_size "
          "whose validation split produces a non-terminating ratio";
 
-  rec.save(path_);
-  const Recommender loaded = Recommender::load(path_, study);
+  rec.save(path("acc.airch"));
+  const Recommender loaded = Recommender::load(path("acc.airch"), study);
   EXPECT_EQ(loaded.report().val_accuracy, acc);
+}
+
+// ------------------------------------------------------------- corruption
+
+/// A deliberately tiny case-1 recommender (1-wide embeddings, 2 hidden
+/// units, 4-bucket vocabularies): a few KB, so the per-byte sweeps below
+/// stay fast.
+class ModelFileCorruptionTest : public TempFiles {
+ protected:
+  void SetUp() override {
+    Dataset data({"budget", "m", "n", "k"}, study_.num_classes());
+    Rng rng(21);
+    for (int i = 0; i < 64; ++i) {
+      data.add({{rng.uniform_int(5, 10), rng.log_uniform_int(4, 4096),
+                 rng.log_uniform_int(4, 4096), rng.log_uniform_int(4, 4096)},
+                static_cast<std::int32_t>(rng.uniform_int(0, study_.num_classes() - 1))});
+    }
+    NeuralClassifier::Options o;
+    o.hidden = {2};
+    o.embed_dim = 1;
+    o.epochs = 1;
+    auto enc = std::make_unique<FeatureEncoder>(data, 4);
+    auto clf = std::make_unique<NeuralClassifier>("tiny", o);
+    clf->fit(data, {}, *enc);
+    Recommender(study_, std::move(clf), std::move(enc)).save(path("good.airch"));
+    good_ = read_file(path("good.airch"));
+    ASSERT_NO_THROW((void)Recommender::load(path("good.airch"), study_));
+  }
+
+  /// Loads `bytes` as a model file; returns the ContractViolation message,
+  /// or fails the test if the load does anything other than throw one.
+  std::string load_error(const std::string& bytes) {
+    const std::string p = path("bad.airch");
+    write_file(p, bytes);
+    try {
+      (void)Recommender::load(p, study_);
+    } catch (const ContractViolation& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << "no ContractViolation";
+    return {};
+  }
+
+  ArrayDataflowStudy study_{Case1Config{5, 10, {}}, 10};
+  std::string good_;
+};
+
+TEST_F(ModelFileCorruptionTest, EverySingleByteSubstitutionIsRejected) {
+  ASSERT_LT(good_.size(), 16384u);
+  for (std::size_t i = 0; i < good_.size(); ++i) {
+    std::string bad = good_;
+    bad[i] = static_cast<char>(static_cast<unsigned char>(bad[i]) ^ 0xA5u);
+    EXPECT_FALSE(load_error(bad).empty()) << "flipped byte " << i << " of " << good_.size();
+  }
+}
+
+TEST_F(ModelFileCorruptionTest, EveryTruncationLengthIsRejected) {
+  for (std::size_t len = 0; len < good_.size(); ++len) {
+    EXPECT_FALSE(load_error(good_.substr(0, len)).empty())
+        << "truncated to " << len << " of " << good_.size();
+  }
+}
+
+TEST_F(ModelFileCorruptionTest, TrailingBytesAfterTheChecksumAreRejected) {
+  EXPECT_NE(load_error(good_ + '\0').find("trailing bytes"), std::string::npos);
+}
+
+TEST_F(ModelFileCorruptionTest, FormatOneTextFileIsRejectedWithARetrainHint) {
+  const std::string message = load_error(
+      "airchitect-recommender v1\n1 459\n0.5\nneural-classifier v1\nAIrchitect\n");
+  EXPECT_NE(message.find("predates format 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("retrain"), std::string::npos) << message;
 }
 
 }  // namespace

@@ -10,8 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,20 +19,13 @@
 #include "core/case_study.hpp"
 #include "workload/sampler.hpp"
 
+#include "file_bytes.hpp"
+
 namespace airch {
 namespace {
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-void write_file(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
+using test::read_file;
+using test::write_file;
 
 class SnapshotTest : public ::testing::Test {
  protected:

@@ -11,6 +11,47 @@
 #include "common/cli.hpp"
 #include "core/recommender.hpp"
 
+namespace {
+
+/// Loads the model and answers the query the flags describe.
+int query(const airch::ArgParser& args, const airch::CaseStudy& study) {
+  using namespace airch;
+  const Recommender rec = Recommender::load(args.str("model"), study);
+  const GemmWorkload w{args.i64("M"), args.i64("N"), args.i64("K")};
+
+  std::vector<std::int64_t> features;
+  switch (study.id()) {
+    case CaseId::kArrayDataflow:
+      features = {args.i64("budget_exp"), w.m, w.n, w.k};
+      break;
+    case CaseId::kBufferSizing:
+      features = {args.i64("limit_kb"), w.m, w.n, w.k, args.i64("rows"), args.i64("cols"),
+                  dataflow_index(dataflow_from_string(args.str("dataflow"))),
+                  args.i64("bandwidth")};
+      break;
+    case CaseId::kScheduling:
+      std::cerr << "case 3 queries need 4 workloads; use the multi_array_scheduler example\n";
+      return 1;
+  }
+
+  const auto labels = rec.recommend_topk(features, static_cast<int>(args.i64("topk")));
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    std::cout << (i == 0 ? "recommended: " : "     also #" + std::to_string(i + 1) + ": ");
+    if (study.id() == CaseId::kArrayDataflow) {
+      const auto* s1 = dynamic_cast<const ArrayDataflowStudy*>(&study);
+      std::cout << s1->space().config(labels[i]).to_string() << '\n';
+    } else {
+      const auto* s2 = dynamic_cast<const BufferSizingStudy*>(&study);
+      const MemoryConfig m = s2->space().config(labels[i]);
+      std::cout << "IFMAP " << m.ifmap_kb << " KB / Filter " << m.filter_kb << " KB / OFMAP "
+                << m.ofmap_kb << " KB\n";
+    }
+  }
+  return 0;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace airch;
   ArgParser args("query_recommender", "one constant-time design query from a saved model");
@@ -41,37 +82,12 @@ int main(int argc, char** argv) {
     std::cerr << "--case must be 1, 2, or 3\n";
     return 1;
   }
-  const auto study = make_case_study(static_cast<CaseId>(case_num));
-  const Recommender rec = Recommender::load(args.str("model"), *study);
-  const GemmWorkload w{args.i64("M"), args.i64("N"), args.i64("K")};
-
-  std::vector<std::int64_t> features;
-  switch (study->id()) {
-    case CaseId::kArrayDataflow:
-      features = {args.i64("budget_exp"), w.m, w.n, w.k};
-      break;
-    case CaseId::kBufferSizing:
-      features = {args.i64("limit_kb"), w.m, w.n, w.k, args.i64("rows"), args.i64("cols"),
-                  dataflow_index(dataflow_from_string(args.str("dataflow"))),
-                  args.i64("bandwidth")};
-      break;
-    case CaseId::kScheduling:
-      std::cerr << "case 3 queries need 4 workloads; use the multi_array_scheduler example\n";
-      return 1;
+  // A missing, corrupt or other-case model file is a user error: report it
+  // and exit 1 instead of letting the exception end the process.
+  try {
+    return query(args, *make_case_study(static_cast<CaseId>(case_num)));
+  } catch (const std::exception& e) {
+    std::cerr << "query_recommender: " << e.what() << "\n";
+    return 1;
   }
-
-  const auto labels = rec.recommend_topk(features, static_cast<int>(args.i64("topk")));
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    std::cout << (i == 0 ? "recommended: " : "     also #" + std::to_string(i + 1) + ": ");
-    if (study->id() == CaseId::kArrayDataflow) {
-      const auto* s1 = dynamic_cast<const ArrayDataflowStudy*>(study.get());
-      std::cout << s1->space().config(labels[i]).to_string() << '\n';
-    } else {
-      const auto* s2 = dynamic_cast<const BufferSizingStudy*>(study.get());
-      const MemoryConfig m = s2->space().config(labels[i]);
-      std::cout << "IFMAP " << m.ifmap_kb << " KB / Filter " << m.filter_kb << " KB / OFMAP "
-                << m.ofmap_kb << " KB\n";
-    }
-  }
-  return 0;
 }
