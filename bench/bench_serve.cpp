@@ -146,7 +146,8 @@ int main(int argc, char** argv) {
   args.flag_i64("requests", 200, "requests per client per level", 1, 1000000);
   args.flag_i64("batch", 4, "queries per request", 1, 4096);
   args.flag_str("levels", "1,4,16", "comma-separated client concurrency levels");
-  args.flag_i64("deadline-us", 200, "service admission-batch deadline");
+  args.flag_i64("deadline-us", 200, "service admission-batch deadline", 0,
+                serve::kMaxBatchDeadlineUs);
   args.flag_i64("batch-max", 64, "service admission-batch query cap");
   args.flag_f64("open-qps", 0.0, "aggregate open-loop request rate (0 = closed loop)");
   args.flag_i64("seed", 42, "dataset / model / query seed");

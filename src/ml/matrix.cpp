@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
 
 #include "common/parallel.hpp"
 
@@ -92,9 +93,10 @@ void matmul_reference(const Matrix& a, bool trans_a, const Matrix& b, bool trans
 namespace {
 
 // ---------------------------------------------------------------- blocked
-// The fast path packs alpha * op(A) into a row-major m x k panel and op(B)
-// into a row-major k x n panel, then runs a register-tiled kernel over
-// MR-row output blocks. Bit-identity with the reference loop holds because
+// The fast path packs alpha * op(A) into a row-major m x k panel, reads
+// op(B) as a row-major k x n panel (B itself when untransposed, a packed
+// copy otherwise), then runs a register-tiled kernel over MR-row output
+// blocks. Bit-identity with the reference loop holds because
 // every C element still accumulates its terms in ascending-p order with
 // the identical `scaled A operand == 0 -> skip` test on the identical
 // float value — blocking, packing, register accumulation, and row
@@ -138,6 +140,14 @@ constexpr std::size_t kNR = 32;
 // C element is loaded and stored once instead of once per p (a streaming
 // kernel is store-port-bound). ZSKIP(v) is `(v) != 0.0f` for the SKIP
 // flavour and `true` for NOSKIP.
+//
+// The fewer-than-MR rows past the last full block stream instead: p outer,
+// so the B panel is walked once, row by contiguous row, for all of them
+// together, while their C rows stay in cache (at most 7 rows; 7.6 KB each
+// for the widest output layer). A 4-query serving batch is all tail. (A per-strip register tile for the tail was measured
+// and rejected: each 32-column strip walks B with a stride of n floats,
+// one page per step for the wide output layers, which defeats the
+// hardware prefetcher.)
 #define AIRCH_MATMUL_TILE_BODY(ZSKIP)                                                   \
   for (std::size_t i = rb; i + kMR <= re; i += kMR) {                                   \
     for (std::size_t j0 = 0; j0 + kNR <= n; j0 += kNR) {                                \
@@ -145,7 +155,7 @@ constexpr std::size_t kNR = 32;
       for (std::size_t t = 0; t < kMR; ++t)                                             \
         for (std::size_t j = 0; j < kNR; ++j) acc[t][j] = c[(i + t) * n + j0 + j];      \
       for (std::size_t p = 0; p < k; ++p) {                                             \
-        const float* bp = bpack + p * n + j0;                                           \
+        const float* bp = bpanel + p * n + j0;                                          \
         for (std::size_t t = 0; t < kMR; ++t) {                                         \
           const float v = apack[(i + t) * k + p];                                       \
           if (ZSKIP(v))                                                                 \
@@ -158,7 +168,7 @@ constexpr std::size_t kNR = 32;
     const std::size_t jt = (n / kNR) * kNR;                                             \
     if (jt < n) {                                                                       \
       for (std::size_t p = 0; p < k; ++p) {                                             \
-        const float* bp = bpack + p * n;                                                \
+        const float* bp = bpanel + p * n;                                               \
         for (std::size_t t = 0; t < kMR; ++t) {                                         \
           const float v = apack[(i + t) * k + p];                                       \
           float* cr = c + (i + t) * n;                                                  \
@@ -168,14 +178,13 @@ constexpr std::size_t kNR = 32;
       }                                                                                 \
     }                                                                                   \
   }                                                                                     \
-  for (std::size_t i = re - (re - rb) % kMR; i < re; ++i) {                             \
-    const float* ar = apack + i * k;                                                    \
-    float* cr = c + i * n;                                                              \
-    for (std::size_t p = 0; p < k; ++p) {                                               \
-      const float v = ar[p];                                                            \
-      if (!ZSKIP(v)) continue;                                                          \
-      const float* bp = bpack + p * n;                                                  \
-      for (std::size_t j = 0; j < n; ++j) cr[j] += v * bp[j];                           \
+  for (std::size_t p = 0; p < k; ++p) {                                                 \
+    const float* bp = bpanel + p * n;                                                   \
+    for (std::size_t i = re - (re - rb) % kMR; i < re; ++i) {                           \
+      const float v = apack[i * k + p];                                                 \
+      float* cr = c + i * n;                                                            \
+      if (ZSKIP(v))                                                                     \
+        for (std::size_t j = 0; j < n; ++j) cr[j] += v * bp[j];                         \
     }                                                                                   \
   }
 
@@ -190,37 +199,37 @@ constexpr std::size_t kNR = 32;
 
 #if AIRCH_MATMUL_MULTIVERSION
 __attribute__((target("avx512f,prefer-vector-width=512"), optimize("fp-contract=off"))) void
-tile_skip_avx512(const float* apack, const float* bpack, float* c, std::size_t rb,
+tile_skip_avx512(const float* apack, const float* bpanel, float* c, std::size_t rb,
                  std::size_t re, std::size_t k, std::size_t n) {
   AIRCH_MATMUL_TILE_BODY(AIRCH_ZTEST)
 }
 
 __attribute__((target("avx2"), optimize("fp-contract=off"))) void tile_skip_avx2(
-    const float* apack, const float* bpack, float* c, std::size_t rb, std::size_t re,
+    const float* apack, const float* bpanel, float* c, std::size_t rb, std::size_t re,
     std::size_t k, std::size_t n) {
   AIRCH_MATMUL_TILE_BODY(AIRCH_ZTEST)
 }
 
 __attribute__((optimize("fp-contract=off"))) void tile_skip_base(
-    const float* apack, const float* bpack, float* c, std::size_t rb, std::size_t re,
+    const float* apack, const float* bpanel, float* c, std::size_t rb, std::size_t re,
     std::size_t k, std::size_t n) {
   AIRCH_MATMUL_TILE_BODY(AIRCH_ZTEST)
 }
 
 __attribute__((target("avx512f,prefer-vector-width=512"), optimize("fp-contract=off"))) void
-tile_noskip_avx512(const float* apack, const float* bpack, float* c, std::size_t rb,
+tile_noskip_avx512(const float* apack, const float* bpanel, float* c, std::size_t rb,
                    std::size_t re, std::size_t k, std::size_t n) {
   AIRCH_MATMUL_TILE_BODY(AIRCH_ZALWAYS)
 }
 
 __attribute__((target("avx2"), optimize("fp-contract=off"))) void tile_noskip_avx2(
-    const float* apack, const float* bpack, float* c, std::size_t rb, std::size_t re,
+    const float* apack, const float* bpanel, float* c, std::size_t rb, std::size_t re,
     std::size_t k, std::size_t n) {
   AIRCH_MATMUL_TILE_BODY(AIRCH_ZALWAYS)
 }
 
 __attribute__((optimize("fp-contract=off"))) void tile_noskip_base(
-    const float* apack, const float* bpack, float* c, std::size_t rb, std::size_t re,
+    const float* apack, const float* bpanel, float* c, std::size_t rb, std::size_t re,
     std::size_t k, std::size_t n) {
   AIRCH_MATMUL_TILE_BODY(AIRCH_ZALWAYS)
 }
@@ -234,17 +243,17 @@ TileKernelFn select_tile_kernel(bool noskip) {
   return noskip ? tile_noskip_base : tile_skip_base;
 }
 
-void tile_kernel(const float* apack, const float* bpack, float* c, std::size_t rb,
+void tile_kernel(const float* apack, const float* bpanel, float* c, std::size_t rb,
                  std::size_t re, std::size_t k, std::size_t n, bool noskip) {
   static const TileKernelFn skip_fn = select_tile_kernel(false);
   static const TileKernelFn noskip_fn = select_tile_kernel(true);
-  (noskip ? noskip_fn : skip_fn)(apack, bpack, c, rb, re, k, n);
+  (noskip ? noskip_fn : skip_fn)(apack, bpanel, c, rb, re, k, n);
 }
 #else
 // Non-GCC / non-x86 builds: portable instantiations. Baseline targets
 // have no FMA instructions, so no explicit contraction suppression is
 // needed for bit-identity.
-void tile_kernel(const float* apack, const float* bpack, float* c, std::size_t rb,
+void tile_kernel(const float* apack, const float* bpanel, float* c, std::size_t rb,
                  std::size_t re, std::size_t k, std::size_t n, bool noskip) {
   if (noskip) {
     AIRCH_MATMUL_TILE_BODY(AIRCH_ZALWAYS)
@@ -258,21 +267,36 @@ void tile_kernel(const float* apack, const float* bpack, float* c, std::size_t r
 #undef AIRCH_ZTEST
 #undef AIRCH_ZALWAYS
 
+/// True iff no element is ±inf or NaN, i.e. none has an all-ones exponent
+/// field. The test is integer-only, so the OR-reduction vectorizes even
+/// under strict FP semantics (a float `x - x` sum is a serial add chain).
+bool all_finite(const float* x, std::size_t count) {
+  constexpr std::uint32_t kExponent = 0x7f800000U;
+  std::uint32_t poisoned = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    poisoned |= static_cast<std::uint32_t>((std::bit_cast<std::uint32_t>(x[i]) & kExponent) ==
+                                           kExponent);
+  }
+  return poisoned == 0;
+}
+
 void matmul_blocked(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix& c,
                     float alpha, float beta) {
   const std::size_t m = trans_a ? a.cols() : a.rows();
   const std::size_t k = trans_a ? a.rows() : a.cols();
   const std::size_t n = trans_b ? b.rows() : b.cols();
 
+  // The kernel reads C's rows after apply_beta has rewritten them, while
+  // still reading op(B) in place: an output that is also an operand would
+  // be read half-overwritten (the reference loop makes the same assumption).
+  AIRCH_DCHECK(&c != &a && &c != &b, "matmul output must not alias an operand");
+
   // Panel scratch is per-thread and grow-only: steady-state training
   // epochs re-run identical shapes, so packing allocates nothing after
   // the first batch.
   static thread_local std::vector<float> tl_apack;
-  static thread_local std::vector<float> tl_bpack;
   if (tl_apack.size() < m * k) tl_apack.resize(m * k);
-  if (tl_bpack.size() < k * n) tl_bpack.resize(k * n);
   float* apack = tl_apack.data();
-  float* bpack = tl_bpack.data();
 
   // Pack alpha * op(A) row-major. Folding alpha here reproduces the
   // reference's `a_val = alpha * a(...)` product exactly (same two
@@ -291,28 +315,32 @@ void matmul_blocked(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b
     }
   }
 
-  // Pack op(B) row-major so the kernel's innermost j loop is contiguous
-  // for every transpose combination.
-  if (!trans_b) {
-    std::memcpy(bpack, b.data(), k * n * sizeof(float));
-  } else {
+  // The kernel wants op(B) as a row-major k x n panel, so its innermost j
+  // loop is contiguous. Untransposed B already is one and is read in place
+  // (for the weight panels of inference this is the whole operand, often
+  // megabytes); only a transposed B is packed, into per-thread scratch.
+  const float* bpanel = b.data();
+  if (trans_b) {
+    static thread_local std::vector<float> tl_bpack;
+    if (tl_bpack.size() < k * n) tl_bpack.resize(k * n);
+    float* bpack = tl_bpack.data();
     for (std::size_t j = 0; j < n; ++j) {
       const float* br = b.row(j);
       for (std::size_t p = 0; p < k; ++p) bpack[p * n + j] = br[p];
     }
+    bpanel = bpack;
   }
 
   apply_beta(c, beta);
 
-  // NOSKIP eligibility probe (see the kernel comment for the proof): the
+  // NOSKIP eligibility (see the kernel comment for the proof): the
   // branch-free kernel is bit-identical exactly when C starts at +0.0f
-  // (beta == 0) and the B panel is inf/NaN-free. `x - x` is +0.0f for
-  // every finite x and NaN for ±inf/NaN, so a poisoned panel makes the
-  // probe sum non-zero (NaN != 0). One flop per element, vectorizable,
-  // against the kernel's 2m flops per element.
-  float b_probe = 0.0f;
-  for (std::size_t i = 0; i < k * n; ++i) b_probe += bpack[i] - bpack[i];
-  const bool noskip = beta == 0.0f && b_probe == 0.0f;
+  // (beta == 0) and B is inf/NaN-free. Only full MR-row blocks gain from
+  // it: the streaming row tail amortizes each branch over a whole B row,
+  // and skipping also skips that row's loads. With no full block the probe
+  // would be one more pass over B (a memory-bound one for megabyte weight
+  // panels) bought for nothing, so it is not run.
+  const bool noskip = beta == 0.0f && m >= kMR && all_finite(b.data(), b.size());
 
   // Partition output rows across workers; each C row is owned by exactly
   // one thread, so the parallel kernel is race-free and deterministic.
@@ -324,10 +352,10 @@ void matmul_blocked(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b
       hardware_threads(), std::max<std::size_t>(flops / kMinFlopsPerWorker, 1)));
   float* cd = c.data();
   if (workers <= 1) {
-    tile_kernel(apack, bpack, cd, 0, m, k, n, noskip);
+    tile_kernel(apack, bpanel, cd, 0, m, k, n, noskip);
   } else {
-    parallel_for(m, workers, [apack, bpack, cd, k, n, noskip](std::size_t rb, std::size_t re) {
-      tile_kernel(apack, bpack, cd, rb, re, k, n, noskip);
+    parallel_for(m, workers, [apack, bpanel, cd, k, n, noskip](std::size_t rb, std::size_t re) {
+      tile_kernel(apack, bpanel, cd, rb, re, k, n, noskip);
     });
   }
 }
@@ -344,11 +372,15 @@ void matmul(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix
   (void)k2;
   AIRCH_DCHECK(c.rows() == m && c.cols() == n, "matmul output must be pre-sized to m x n");
 
-  // Tiny products (single-query inference, unit-test shapes) are dominated
-  // by the k x n B-panel pack; the reference loop is already optimal there
-  // unless op(B) is transposed (strided inner reads). Either path returns
-  // bit-identical results, so this is purely a latency dispatch.
-  const bool tiny = (m == 1 && !trans_b) || 2 * m * k * n < (std::size_t{1} << 15);
+  // Tiny products (unit-test shapes, the narrow layers of small models)
+  // stay on the reference loop: below 2^15 flops either path takes about a
+  // microsecond, and for n narrower than one kNR strip the blocked kernel
+  // runs only its slower column tail. Single-query inference is not
+  // special-cased: through the blocked path it is one streaming pass over
+  // B in the SIMD-multiversioned kernel, faster than the reference loop.
+  // Either path returns bit-identical results, so this is purely a latency
+  // dispatch.
+  const bool tiny = 2 * m * k * n < (std::size_t{1} << 15);
   if (kernel_mode() == KernelMode::kNaive || tiny) {
     matmul_reference(a, trans_a, b, trans_b, c, alpha, beta);
     return;

@@ -62,7 +62,8 @@ struct RecommenderService::Impl {
       : models(std::move(m)), options(o) {
     AIRCH_CHECK(!models.empty(), "service needs at least one model");
     AIRCH_CHECK(options.batch_max >= 1, "batch_max must be >= 1");
-    AIRCH_CHECK(options.batch_deadline_us >= 0, "batch_deadline_us must be >= 0");
+    AIRCH_CHECK(options.batch_deadline_us >= 0 && options.batch_deadline_us <= kMaxBatchDeadlineUs,
+                "batch_deadline_us must be in [0, kMaxBatchDeadlineUs]");
     for (std::size_t i = 0; i < models.size(); ++i) {
       AIRCH_CHECK(models[i].rec != nullptr, "null recommender in the model table");
       AIRCH_CHECK(models[i].case_id >= 1 && models[i].case_id <= 3,
@@ -213,25 +214,37 @@ struct RecommenderService::Impl {
   // ----------------------------------------------------------- dispatcher
 
   void dispatch_loop() {
+    // The dispatcher is idle when it had to wait on an empty queue, and at
+    // startup, before any batch has run.
+    bool was_idle = true;
     for (;;) {
       std::vector<std::shared_ptr<Pending>> admitted;
       {
         const MutexLock lock(queue_mu_);
-        while (queue_.empty() && !drain_) queue_cv_.wait(queue_mu_);
+        while (queue_.empty() && !drain_) {
+          was_idle = true;
+          queue_cv_.wait(queue_mu_);
+        }
         if (queue_.empty()) return;  // drain flagged and nothing left
-        // Admission window: take everything that arrives within
-        // batch_deadline_us of the FIRST pending request, or dispatch
-        // early the moment batch_max queries are queued. Requests that
-        // arrive after the swap start the next window.
-        const auto deadline =
-            first_arrival_ + std::chrono::microseconds(options.batch_deadline_us);
-        while (queued_queries_ < options.batch_max && !drain_) {
-          if (!queue_cv_.wait_until(queue_mu_, deadline)) break;
+        // An idle dispatcher runs the batch the moment the first request
+        // lands: there is no one to wait for, so waiting would only add
+        // latency. Requests that queued while a batch was running form an
+        // admission window instead: take everything that arrives within
+        // batch_deadline_us of the FIRST of them, or dispatch early the
+        // moment batch_max queries are queued. Requests that arrive after
+        // the swap start the next window.
+        if (!was_idle) {
+          const auto deadline =
+              first_arrival_ + std::chrono::microseconds(options.batch_deadline_us);
+          while (queued_queries_ < options.batch_max && !drain_) {
+            if (!queue_cv_.wait_until(queue_mu_, deadline)) break;
+          }
         }
         admitted.swap(queue_);
         queued_queries_ = 0;
       }
       run_batch(admitted);
+      was_idle = false;
     }
   }
 

@@ -4,10 +4,11 @@
 // pitch is constant-time inference; what a deployment actually runs is a
 // process that loads the trained models ONCE and answers a stream of
 // design queries. The service's job beyond plumbing is admission
-// batching: concurrent requests that arrive within a small window are
+// batching: requests that queue up while a forward pass runs are
 // coalesced and answered by ONE packed recommend_batch forward pass per
 // case study, trading bounded queueing delay (batch_deadline_us) for the
-// batched-matmul throughput the kernels are built around.
+// batched-matmul throughput the kernels are built around. A request that
+// finds the service idle pays no queueing delay at all.
 //
 // Threading model (all synchronization via common/sync.hpp, all threads
 // via common/parallel.hpp Thread):
@@ -17,10 +18,13 @@
 //     block on the request's own CondVar, frame out. Invalid requests are
 //     answered with an error frame BEFORE enqueueing, so one bad request
 //     can never poison a packed batch.
-//   - dispatcher thread: waits for the first queued request, then admits
+//   - dispatcher thread: if it was idle (waiting on an empty queue, or
+//     just started), it dispatches the moment the first request lands.
+//     Otherwise requests queued while the previous batch ran; it admits
 //     more until batch_max queries are pending or batch_deadline_us has
-//     elapsed since the first arrival; swaps the queue out, runs one
-//     forward pass per case study present, fans results back out.
+//     elapsed since the first of them arrived. Either way it swaps the
+//     queue out, runs one forward pass per case study present, and fans
+//     results back out.
 //
 // The locks involved (queue, per-request, connection registry, stats) are
 // peers — none is ever held while acquiring another — so they all sit at
@@ -36,11 +40,20 @@
 
 namespace airch::serve {
 
+/// Upper bound on ServeOptions::batch_deadline_us (10 s). A window that
+/// long is already useless for serving; the cap keeps the deadline
+/// arithmetic (a nanosecond time_point) far from signed overflow.
+inline constexpr std::int64_t kMaxBatchDeadlineUs = 10'000'000;
+
 struct ServeOptions {
   /// Dispatch as soon as this many queries are pending...
   std::size_t batch_max = 64;
   /// ...or this many microseconds after the batch's first arrival,
-  /// whichever comes first. 0 = dispatch immediately (no coalescing).
+  /// whichever comes first. The window only opens for requests that
+  /// queue while a batch is running: an idle dispatcher answers the first
+  /// arrival at once, so coalescing costs latency only under load.
+  /// 0 = never wait (no coalescing beyond what queued during a batch);
+  /// at most kMaxBatchDeadlineUs.
   std::int64_t batch_deadline_us = 200;
   /// Acceptor poll granularity; bounds stop() latency, not request latency.
   int accept_poll_ms = 20;

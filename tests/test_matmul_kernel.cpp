@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "ml/network.hpp"
 #include "ml/optimizer.hpp"
@@ -121,6 +122,108 @@ TEST(MatmulKernel, BitIdenticalAboveTinyShapeCutoff) {
     }
   }
 }
+
+TEST(MatmulKernel, BitIdenticalWhenOnlyTheRowTailRuns) {
+  // 2..7 output rows above the tiny cutoff: no full MR-row block exists,
+  // so the whole product runs through the streaming row tail. 4 x 256 x
+  // 1944 is the serving shape (a 4-query batch against the case-3 output
+  // layer).
+  std::mt19937 rng(23);
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  const Shape shapes[] = {{2, 64, 300}, {3, 129, 97}, {4, 256, 1944}, {5, 40, 257}, {7, 33, 200}};
+  for (const auto& s : shapes) {
+    for (bool trans_a : {false, true}) {
+      for (bool trans_b : {false, true}) {
+        check_case(rng, s.m, s.k, s.n, trans_a, trans_b, 1.0f, 0.0f, 0.5);
+        check_case(rng, s.m, s.k, s.n, trans_a, trans_b, 0.75f, 0.3f, 0.5);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+/// Bit-compares the fast kernel against the reference for op(A) m x k
+/// (untransposed, with row `zero_row` all zeros) and a given op(B).
+void check_against_reference(std::mt19937& rng, const Matrix& b, bool trans_b, std::size_t m,
+                             std::size_t zero_row) {
+  const std::size_t k = trans_b ? b.cols() : b.rows();
+  const std::size_t n = trans_b ? b.rows() : b.cols();
+  Matrix a(m, k);
+  fill_random(a, rng, 0.3);
+  for (std::size_t p = 0; p < k; ++p) a(zero_row, p) = 0.0f;
+  Matrix c_ref(m, n);
+  matmul_reference(a, false, b, trans_b, c_ref);
+  Matrix c_fast(m, n);
+  {
+    KernelModeGuard guard(KernelMode::kFast);
+    matmul(a, false, b, trans_b, c_fast);
+  }
+  ASSERT_TRUE(bit_equal(c_ref, c_fast)) << "m=" << m << " tb=" << trans_b;
+  for (std::size_t j = 0; j < n; ++j) {
+    ASSERT_EQ(c_fast(zero_row, j), 0.0f) << "column " << j;
+    ASSERT_FALSE(std::signbit(c_fast(zero_row, j))) << "column " << j;
+  }
+}
+
+TEST(MatmulKernel, NonFiniteTransposedBFallsBackToTheSkipKernel) {
+  // A NaN or an infinity anywhere in B makes the branch-free kernel
+  // unsafe (0 * inf and 0 * NaN are NaN), so the probe must see it in a
+  // transposed B too. One poisoned element per output column keeps the
+  // NaN payloads independent of operand order.
+  std::mt19937 rng(29);
+  for (const float poison : {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()}) {
+    for (std::size_t m : {std::size_t{4}, std::size_t{40}}) {
+      Matrix b(96, 64);  // op(B) = b^T is 64 x 96: above the tiny cutoff at m = 4
+      fill_random(b, rng, 0.0);
+      b(5, 17) = poison;
+      b(40, 2) = poison;
+      check_against_reference(rng, b, true, m, 3);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(MatmulKernel, LargestAndSmallestFiniteBTakeTheBranchFreeKernel) {
+  // FLT_MAX and the largest subnormal are finite, so the probe must admit
+  // them, and the branch-free kernel (m = 40 has full MR-row blocks) must
+  // still match the reference: a zero A operand times either is a zero
+  // that cannot change the sum. m = 4 is all row tail, which always skips.
+  std::mt19937 rng(31);
+  const float largest_subnormal =
+      std::nextafter(std::numeric_limits<float>::min(), 0.0f);
+  for (bool trans_b : {false, true}) {
+    for (std::size_t m : {std::size_t{4}, std::size_t{40}}) {
+      Matrix b(trans_b ? 96 : 64, trans_b ? 64 : 96);  // op(B) is 64 x 96
+      fill_random(b, rng, 0.0);
+      for (std::size_t j = 0; j < 96; ++j) {
+        float& e = trans_b ? b(j, j % 64) : b(j % 64, j);
+        e = j % 2 == 0 ? std::numeric_limits<float>::max() : largest_subnormal;
+        if (j % 4 == 1) e = -e;
+      }
+      check_against_reference(rng, b, trans_b, m, 3);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+#ifndef NDEBUG
+TEST(MatmulKernel, OutputAliasingAnOperandIsAContractViolation) {
+  // The blocked kernel reads op(B) in place after C has been scaled, so an
+  // output that is also an operand would be read half-overwritten.
+  KernelModeGuard guard(KernelMode::kFast);
+  std::mt19937 rng(37);
+  Matrix x(64, 64);
+  Matrix y(64, 64);
+  fill_random(x, rng, 0.0);
+  fill_random(y, rng, 0.0);
+  EXPECT_THROW(matmul(x, false, y, false, y), airch::ContractViolation);
+  EXPECT_THROW(matmul(y, false, x, false, y), airch::ContractViolation);
+}
+#endif
 
 // The zero-skip contract (matrix.hpp): a term whose scaled A operand is
 // zero is skipped, never accumulated. These pins are load-bearing for the

@@ -11,15 +11,18 @@
 //      matching outputs).
 //   3. The service end to end over real loopback sockets: replies
 //      bit-identical to in-process recommend_batch, error frames for bad
-//      requests (connection survives them), admission stats, the
-//      connection cap, and stop() idempotence.
+//      requests (connection survives them), admission stats, idle
+//      dispatch, the connection cap, and stop() idempotence.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -268,6 +271,7 @@ TEST_F(ServeModel, ServiceCoalescesConcurrentClients) {
   constexpr std::size_t kRequests = 10;
   constexpr std::size_t kBatch = 4;
   std::atomic<int> failures{0};
+  std::atomic<int> connected{0};
   {
     std::vector<Thread> pool;
     pool.reserve(kClients);
@@ -275,6 +279,10 @@ TEST_F(ServeModel, ServiceCoalescesConcurrentClients) {
       pool.emplace_back([&, c] {
         try {
           RecommenderClient client(port);
+          // Start gate: every client is connected before any sends, so
+          // the first requests really are concurrent.
+          connected.fetch_add(1);
+          while (connected.load() < kClients) std::this_thread::yield();
           for (std::size_t r = 0; r < kRequests; ++r) {
             const auto queries =
                 make_queries(kBatch, 100 + static_cast<std::uint64_t>(c) * 1000 + r);
@@ -283,6 +291,7 @@ TEST_F(ServeModel, ServiceCoalescesConcurrentClients) {
             }
           }
         } catch (const std::exception&) {
+          connected.fetch_add(kClients);  // never leave the others at the gate
           failures.fetch_add(1);
         }
       });
@@ -295,14 +304,37 @@ TEST_F(ServeModel, ServiceCoalescesConcurrentClients) {
   EXPECT_EQ(stats.requests, kClients * kRequests);
   EXPECT_EQ(stats.queries, kClients * kRequests * kBatch);
   EXPECT_EQ(stats.errors, 0u);
-  // Coalescing means strictly fewer forward passes than requests (with a
-  // 500us window and 8 concurrent clients this is not close), and the
-  // histogram must account for every dispatched batch.
+  // The idle dispatcher answers a lone arrival at once, so coalescing
+  // comes from the requests that queue while a batch runs: they share the
+  // next 500us window. With 8 clients released together, requests queue
+  // behind the first batch, so there are strictly fewer forward passes
+  // than requests, and the histogram must account for every dispatched
+  // batch.
   EXPECT_GE(stats.batches, 1u);
   EXPECT_LT(stats.batches, stats.requests);
   std::uint64_t hist_total = 0;
   for (const auto b : stats.batch_size_log2_hist) hist_total += b;
   EXPECT_EQ(hist_total, stats.batches);
+}
+
+// Idle dispatch: a request that finds the dispatcher waiting on an empty
+// queue is answered at once, not after batch_deadline_us. The window is set
+// to the 10 s cap, so a dispatcher that waited it out would miss the 1 s
+// bound by 10x, and an idle one (tens of microseconds here) beats it by
+// far more than that.
+TEST_F(ServeModel, IdleDispatcherAnswersWithoutWaitingOutTheDeadline) {
+  ServeOptions opts;
+  opts.batch_deadline_us = serve::kMaxBatchDeadlineUs;
+  RecommenderService service({{1, rec_.get()}}, opts);
+  service.start();
+  RecommenderClient client(service.port());
+  const auto queries = make_queries(4, 45);
+  const auto start = std::chrono::steady_clock::now();
+  const auto labels = client.recommend_batch(1, queries);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  EXPECT_EQ(labels, rec_->recommend_batch(queries));
+  service.stop();
 }
 
 TEST_F(ServeModel, ServiceAnswersUnknownCaseWithErrorAndSurvives) {
@@ -430,6 +462,18 @@ TEST_F(ServeModel, ConstructorValidatesModelTable) {
   ServeOptions bad;
   bad.batch_max = 0;
   EXPECT_THROW(RecommenderService({{1, rec_.get()}}, bad), ContractViolation);
+  // The admission deadline is capped, so its nanosecond arithmetic cannot
+  // overflow.
+  ServeOptions capped;
+  capped.batch_deadline_us = serve::kMaxBatchDeadlineUs;
+  EXPECT_NO_THROW(RecommenderService({{1, rec_.get()}}, capped));
+  for (const std::int64_t deadline :
+       {std::int64_t{-1}, serve::kMaxBatchDeadlineUs + 1,
+        std::numeric_limits<std::int64_t>::max()}) {
+    ServeOptions late;
+    late.batch_deadline_us = deadline;
+    EXPECT_THROW(RecommenderService({{1, rec_.get()}}, late), ContractViolation) << deadline;
+  }
 }
 
 TEST_F(ServeModel, PortBeforeStartThrows) {

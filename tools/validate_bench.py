@@ -18,6 +18,9 @@ import json
 import sys
 
 
+MAX_BATCH_DEADLINE_US = 10_000_000
+
+
 def fail(msg):
     print(f"validate_bench: {msg}", file=sys.stderr)
     sys.exit(1)
@@ -83,7 +86,10 @@ def validate_serve(d, min_levels):
     # recommend_batch before reporting; a report without that assertion
     # must never be waved through even if the numbers parse.
     require(d.get("responses_bit_identical") is True, "responses_bit_identical is not True")
-    require(d.get("batch_deadline_us", -1) >= 0, "batch_deadline_us must be >= 0")
+    # serve::kMaxBatchDeadlineUs (src/serve/server.hpp): the service rejects
+    # a longer admission window, so a report claiming one is not genuine.
+    require(0 <= d.get("batch_deadline_us", -1) <= MAX_BATCH_DEADLINE_US,
+            f"batch_deadline_us must be in [0, {MAX_BATCH_DEADLINE_US}]")
     require(d.get("batch_max", 0) >= 1, "batch_max must be >= 1")
     levels = d.get("levels", [])
     require(len(levels) >= min_levels, f"expected >= {min_levels} concurrency levels")
