@@ -56,7 +56,41 @@ ArgParser& ArgParser::flag_bool(const std::string& name, bool default_value,
   return *this;
 }
 
+namespace {
+
+/// std::stoll / std::stod over the whole of `value`, with every failure
+/// (not a number, trailing text, out of the type's range) reported
+/// against the flag that carried it.
+template <typename Convert>
+auto parse_number(Convert convert, const std::string& name, const std::string& value,
+                  const char* kind) {
+  std::size_t pos = 0;
+  decltype(convert(value, &pos)) parsed{};
+  try {
+    parsed = convert(value, &pos);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("value out of range for --" + name + ": " + value);
+  } catch (const std::invalid_argument&) {
+    pos = 0;
+  }
+  if (pos == 0 || pos != value.size()) {
+    throw std::invalid_argument(std::string("bad ") + kind + " for --" + name + ": " + value);
+  }
+  return parsed;
+}
+
+}  // namespace
+
 void ArgParser::parse(int argc, const char* const* argv) {
+  try {
+    parse_or_throw(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << program_ << ": " << e.what() << "\n";
+    std::exit(1);
+  }
+}
+
+void ArgParser::parse_or_throw(int argc, const char* const* argv) {
   std::set<std::string> seen;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -92,9 +126,9 @@ void ArgParser::parse(int argc, const char* const* argv) {
     }
     // Validate parse for numeric kinds now so errors surface at startup.
     if (it->second.kind == Kind::kI64) {
-      std::size_t pos = 0;
-      const std::int64_t parsed = std::stoll(value, &pos);
-      if (pos != value.size()) throw std::invalid_argument("bad integer for --" + name + ": " + value);
+      const std::int64_t parsed = parse_number(
+          [](const std::string& v, std::size_t* pos) { return std::stoll(v, pos); }, name, value,
+          "integer");
       if (it->second.has_range &&
           (parsed < it->second.min_value || parsed > it->second.max_value)) {
         throw std::invalid_argument(
@@ -103,9 +137,9 @@ void ArgParser::parse(int argc, const char* const* argv) {
             std::to_string(it->second.max_value) + ")");
       }
     } else if (it->second.kind == Kind::kF64) {
-      std::size_t pos = 0;
-      (void)std::stod(value, &pos);
-      if (pos != value.size()) throw std::invalid_argument("bad real for --" + name + ": " + value);
+      (void)parse_number(
+          [](const std::string& v, std::size_t* pos) { return std::stod(v, pos); }, name, value,
+          "real");
     } else if (it->second.kind == Kind::kBool) {
       if (value != "true" && value != "false" && value != "1" && value != "0") {
         throw std::invalid_argument("bad boolean for --" + name + ": " + value);

@@ -28,9 +28,10 @@ class ArgParser {
   ArgParser& flag_str(const std::string& name, const std::string& default_value, const std::string& help);
   ArgParser& flag_bool(const std::string& name, bool default_value, const std::string& help);
 
-  /// Parse argv. On `--help` prints usage and calls std::exit(0).
-  /// Throws std::invalid_argument on unknown flags, malformed or
-  /// out-of-range values, and flags given more than once.
+  /// Parse argv. On `--help` prints usage and calls std::exit(0). An
+  /// unknown flag, a malformed or out-of-range value, or a flag given more
+  /// than once prints `<program>: <reason naming the flag>` to stderr and
+  /// calls std::exit(1). (Registering a bad flag above still throws.)
   void parse(int argc, const char* const* argv);
 
   std::int64_t i64(const std::string& name) const;
@@ -52,6 +53,7 @@ class ArgParser {
   };
 
   const Flag& get(const std::string& name, Kind kind) const;
+  void parse_or_throw(int argc, const char* const* argv);
 
   std::string program_;
   std::string description_;

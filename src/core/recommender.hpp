@@ -48,7 +48,7 @@ class Recommender {
   /// Batched serving query: labels for N feature vectors via ONE packed
   /// forward pass. Equivalent to mapping recommend_label over `queries`
   /// but amortizes the per-call network overhead across the batch
-  /// (bench/bench_train_throughput.cpp measures the gap).
+  /// (bench_query_latency's BM_InferBatched measures the gap).
   std::vector<std::int32_t> recommend_batch(
       const std::vector<std::vector<std::int64_t>>& queries) const;
 

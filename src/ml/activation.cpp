@@ -1,53 +1,30 @@
 #include "ml/activation.hpp"
 
+#include <cstddef>
+
 #include "common/check.hpp"
 
 namespace airch::ml {
 
-Matrix ReluLayer::forward(const Matrix& x, bool /*training*/) {
-  Matrix y = x;
-  // Skip the resize (which re-zeros) when the shape is unchanged — the
-  // mask is fully overwritten below, and steady-state batches all share
-  // one shape.
-  if (mask_.rows() != x.rows() || mask_.cols() != x.cols()) mask_.resize(x.rows(), x.cols());
+void relu(Matrix& y) {
   float* yd = y.data();
-  float* md = mask_.data();
-  const std::size_t cols = x.cols();
+  const std::size_t cols = y.cols();
   // Pure elementwise op: row-partitioning is trivially deterministic.
-  parallel_rows(x.rows(), cols, [yd, md, cols](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0 * cols; i < r1 * cols; ++i) {
-      const bool pos = yd[i] > 0.0f;
-      md[i] = pos ? 1.0f : 0.0f;
-      if (!pos) yd[i] = 0.0f;
-    }
-  });
-  return y;
-}
-
-Matrix ReluLayer::infer(const Matrix& x) const {
-  // forward() without the mask write: inference never backpropagates, so
-  // the clamp is the whole computation and no shared state is touched.
-  Matrix y = x;
-  float* yd = y.data();
-  const std::size_t cols = x.cols();
-  parallel_rows(x.rows(), cols, [yd, cols](std::size_t r0, std::size_t r1) {
+  parallel_rows(y.rows(), cols, [yd, cols](std::size_t r0, std::size_t r1) {
     for (std::size_t i = r0 * cols; i < r1 * cols; ++i) {
       if (!(yd[i] > 0.0f)) yd[i] = 0.0f;
     }
   });
-  return y;
 }
 
-Matrix ReluLayer::backward(const Matrix& grad_out) {
-  AIRCH_ASSERT(grad_out.rows() == mask_.rows() && grad_out.cols() == mask_.cols());
-  Matrix g = grad_out;
-  float* gd = g.data();
-  const float* md = mask_.data();
-  const std::size_t cols = g.cols();
-  parallel_rows(g.rows(), cols, [gd, md, cols](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0 * cols; i < r1 * cols; ++i) gd[i] *= md[i];
+void relu_backward(const Matrix& y, Matrix& grad) {
+  AIRCH_ASSERT(grad.rows() == y.rows() && grad.cols() == y.cols());
+  float* gd = grad.data();
+  const float* yd = y.data();
+  const std::size_t cols = grad.cols();
+  parallel_rows(grad.rows(), cols, [gd, yd, cols](std::size_t r0, std::size_t r1) {
+    for (std::size_t i = r0 * cols; i < r1 * cols; ++i) gd[i] *= yd[i] > 0.0f ? 1.0f : 0.0f;
   });
-  return g;
 }
 
 }  // namespace airch::ml

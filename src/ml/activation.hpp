@@ -1,21 +1,17 @@
 #pragma once
-// Stateless activation layers.
+// ReLU as two elementwise kernels over a batch. Nothing is kept between
+// them: the backward pass masks with the recorded post-ReLU output, which
+// is > 0 exactly where the input was.
 
-#include <cstddef>
-
-#include "ml/layer.hpp"
+#include "ml/matrix.hpp"
 
 namespace airch::ml {
 
-class ReluLayer final : public Layer {
- public:
-  Matrix forward(const Matrix& x, bool training) override;
-  Matrix infer(const Matrix& x) const override;
-  Matrix backward(const Matrix& grad_out) override;
-  std::size_t output_dim(std::size_t input_dim) const override { return input_dim; }
+/// y = max(y, 0) in place (a NaN becomes 0).
+void relu(Matrix& y);
 
- private:
-  Matrix mask_;  // 1 where input > 0
-};
+/// grad *= (y > 0 ? 1 : 0) for the post-ReLU output `y`. A multiply, not a
+/// select, so a masked negative gradient becomes -0.0f.
+void relu_backward(const Matrix& y, Matrix& grad);
 
 }  // namespace airch::ml

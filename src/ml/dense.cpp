@@ -6,59 +6,27 @@
 
 namespace airch::ml {
 
-DenseLayer::DenseLayer(std::size_t in_dim, std::size_t out_dim, Rng& rng)
-    : in_dim_(in_dim),
-      out_dim_(out_dim),
-      w_(in_dim, out_dim),
-      b_(out_dim, 0.0f),
-      w_grad_(in_dim, out_dim),
-      b_grad_(out_dim, 0.0f) {
+Dense::Dense(std::size_t in_dim, std::size_t out_dim, Rng& rng)
+    : w(in_dim, out_dim), b(out_dim, 0.0f), w_grad(in_dim, out_dim), b_grad(out_dim, 0.0f) {
   if (in_dim == 0 || out_dim == 0) throw std::invalid_argument("zero-sized dense layer");
-  w_.init_glorot(rng);
+  w.init_glorot(rng);
 }
 
-Matrix DenseLayer::forward(const Matrix& x, bool /*training*/) {
-  AIRCH_ASSERT(x.cols() == in_dim_);
-  cached_input_ = x;
-  Matrix y(x.rows(), out_dim_);
-  matmul(x, false, w_, false, y);
-  add_row_broadcast(y, b_);
-  return y;
+Matrix Dense::backward(const Matrix& x, const Matrix& dy) {
+  AIRCH_ASSERT(x.cols() == w.rows() && dy.rows() == x.rows() && dy.cols() == w.cols());
+  matmul(x, true, dy, false, w_grad);
+  column_sums(dy, b_grad);
+  Matrix dx(dy.rows(), w.rows());
+  matmul(dy, false, w, true, dx);
+  return dx;
 }
 
-Matrix DenseLayer::infer(const Matrix& x) const {
-  AIRCH_ASSERT(x.cols() == in_dim_);
-  // Same computation as forward() minus the cached_input_ copy: the output
-  // lives on the caller's stack and the matmul scratch is thread_local, so
-  // any number of threads can infer through one shared layer.
-  Matrix y(x.rows(), out_dim_);
-  matmul(x, false, w_, false, y);
-  add_row_broadcast(y, b_);
-  return y;
+std::vector<ParamRef> Dense::params() {
+  return {{w.data(), w_grad.data(), w.size()}, {b.data(), b_grad.data(), b.size()}};
 }
 
-Matrix DenseLayer::backward(const Matrix& grad_out) {
-  AIRCH_ASSERT(grad_out.rows() == cached_input_.rows() && grad_out.cols() == out_dim_);
-  // dW = x^T * dY ; db = column sums of dY ; dX = dY * W^T
-  matmul(cached_input_, true, grad_out, false, w_grad_);
-  column_sums(grad_out, b_grad_);
-  Matrix grad_in(grad_out.rows(), in_dim_);
-  matmul(grad_out, false, w_, true, grad_in);
-  return grad_in;
-}
-
-std::vector<ParamRef> DenseLayer::params() {
-  return {{w_.data(), w_grad_.data(), w_.size()}, {b_.data(), b_grad_.data(), b_.size()}};
-}
-
-std::vector<ConstParamRef> DenseLayer::params() const {
-  return {{w_.data(), w_.size()}, {b_.data(), b_.size()}};
-}
-
-std::size_t DenseLayer::output_dim(std::size_t input_dim) const {
-  AIRCH_ASSERT(input_dim == in_dim_);
-  (void)input_dim;
-  return out_dim_;
+std::vector<ConstParamRef> Dense::params() const {
+  return {{w.data(), w.size()}, {b.data(), b.size()}};
 }
 
 }  // namespace airch::ml

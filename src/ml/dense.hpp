@@ -1,36 +1,31 @@
 #pragma once
-// Fully-connected layer: y = x W + b.
+// Fully-connected layer parameters for y = x W + b. The product itself is
+// computed by FeedForwardNet::infer_logits; a Dense holds W and b, their
+// gradients, and the backward pass over the input that forward pass saw.
 
 #include <cstddef>
 #include <vector>
 
-#include "ml/layer.hpp"
+#include "common/rng.hpp"
+#include "ml/matrix.hpp"
+#include "ml/optimizer.hpp"
 
 namespace airch::ml {
 
-class DenseLayer final : public Layer {
- public:
-  DenseLayer(std::size_t in_dim, std::size_t out_dim, Rng& rng);
+struct Dense {
+  Dense(std::size_t in_dim, std::size_t out_dim, Rng& rng);
 
-  Matrix forward(const Matrix& x, bool training) override;
-  Matrix infer(const Matrix& x) const override;
-  Matrix backward(const Matrix& grad_out) override;
-  std::vector<ParamRef> params() override;
-  std::vector<ConstParamRef> params() const override;
-  std::size_t output_dim(std::size_t input_dim) const override;
+  /// Given the input `x` of the forward pass and dL/dy, sets dW = xᵀ·dY and
+  /// db = column sums of dY, and returns dX = dY·Wᵀ.
+  Matrix backward(const Matrix& x, const Matrix& dy);
 
-  std::size_t in_dim() const { return in_dim_; }
-  std::size_t out_dim() const { return out_dim_; }
-  const Matrix& weights() const { return w_; }
+  std::vector<ParamRef> params();
+  std::vector<ConstParamRef> params() const;
 
- private:
-  std::size_t in_dim_;
-  std::size_t out_dim_;
-  Matrix w_;                    // in_dim x out_dim
-  std::vector<float> b_;        // out_dim
-  Matrix w_grad_;
-  std::vector<float> b_grad_;
-  Matrix cached_input_;
+  Matrix w;               // in_dim x out_dim
+  std::vector<float> b;   // out_dim
+  Matrix w_grad;
+  std::vector<float> b_grad;
 };
 
 }  // namespace airch::ml

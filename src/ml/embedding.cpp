@@ -1,6 +1,5 @@
 #include "ml/embedding.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "common/check.hpp"
@@ -21,62 +20,21 @@ EmbeddingBag::EmbeddingBag(std::vector<int> vocab_sizes, std::size_t dim, Rng& r
   }
 }
 
-Matrix EmbeddingBag::forward(const IntBatch& indices) {
-  AIRCH_ASSERT(indices.cols == vocab_sizes_.size());
-  cached_indices_ = indices;
-  Matrix out(indices.rows, output_dim());
-  // Each output row is an independent gather; row-partitioning across
-  // workers is race-free and order-independent (pure copies).
-  parallel_rows(indices.rows, output_dim() * 2, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      float* dst = out.row(r);
-      for (std::size_t f = 0; f < vocab_sizes_.size(); ++f) {
-        const int vocab = vocab_sizes_[f];
-        const auto idx = static_cast<std::size_t>(
-            std::clamp<std::int32_t>(indices(r, f), 0, vocab - 1));
-        const float* src = tables_[f].row(idx);
-        std::copy(src, src + dim_, dst + f * dim_);
-      }
-    }
-  });
-  return out;
-}
-
-Matrix EmbeddingBag::infer(const IntBatch& indices) const {
-  AIRCH_ASSERT(indices.cols == vocab_sizes_.size());
-  Matrix out(indices.rows, output_dim());
-  parallel_rows(indices.rows, output_dim() * 2, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      float* dst = out.row(r);
-      for (std::size_t f = 0; f < vocab_sizes_.size(); ++f) {
-        const int vocab = vocab_sizes_[f];
-        const auto idx = static_cast<std::size_t>(
-            std::clamp<std::int32_t>(indices(r, f), 0, vocab - 1));
-        const float* src = tables_[f].row(idx);
-        std::copy(src, src + dim_, dst + f * dim_);
-      }
-    }
-  });
-  return out;
-}
-
-void EmbeddingBag::backward(const Matrix& grad_out) {
-  AIRCH_ASSERT(grad_out.rows() == cached_indices_.rows && grad_out.cols() == output_dim());
+void EmbeddingBag::backward(const IntBatch& indices, const Matrix& grad_out) {
+  AIRCH_ASSERT(indices.cols == vocab_sizes_.size() && grad_out.rows() == indices.rows &&
+               grad_out.cols() == output_dim());
   // The scatter is partitioned by FEATURE, not by row: feature f owns
   // table_grads_[f] exclusively, so concurrent workers never touch the
   // same gradient cell, and within a feature the rows are walked in
   // ascending order — the same per-cell accumulation order as the
   // original row-major loop. Race-free and bit-identical.
-  const std::size_t rows = cached_indices_.rows;
+  const std::size_t rows = indices.rows;
   parallel_rows(vocab_sizes_.size(), rows * dim_ * 2, [&](std::size_t f0, std::size_t f1) {
     for (std::size_t f = f0; f < f1; ++f) {
       table_grads_[f].fill(0.0f);
-      const int vocab = vocab_sizes_[f];
       for (std::size_t r = 0; r < rows; ++r) {
         const float* src = grad_out.row(r) + f * dim_;
-        const auto idx = static_cast<std::size_t>(
-            std::clamp<std::int32_t>(cached_indices_(r, f), 0, vocab - 1));
-        float* dst = table_grads_[f].row(idx);
+        float* dst = table_grads_[f].row(slot(f, indices(r, f)));
         for (std::size_t d = 0; d < dim_; ++d) dst[d] += src[d];
       }
     }

@@ -4,12 +4,14 @@
 // a bucketized feature value to a dim-wide dense vector; the F vectors are
 // concatenated into the MLP input.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "ml/layer.hpp"
+#include "common/rng.hpp"
 #include "ml/matrix.hpp"
+#include "ml/optimizer.hpp"
 
 namespace airch::ml {
 
@@ -28,37 +30,41 @@ struct IntBatch {
   }
 };
 
+/// Embedding tables and their gradients. FeedForwardNet::infer_logits
+/// gathers the rows; the bag's own work is the backward scatter.
 class EmbeddingBag {
  public:
   /// vocab_sizes[f] = number of buckets for feature f; dim = vector width.
   EmbeddingBag(std::vector<int> vocab_sizes, std::size_t dim, Rng& rng);
 
-  /// (batch x F) indices -> (batch x F*dim) concatenated embeddings.
-  /// Indices are clamped into the vocab range defensively.
-  Matrix forward(const IntBatch& indices);
+  /// The dim-wide table row feature `f` maps `index` to. Indices are
+  /// clamped into the vocab range defensively.
+  const float* row(std::size_t f, std::int32_t index) const {
+    return tables_[f].row(slot(f, index));
+  }
 
-  /// forward() without the cached_indices_ write: no backward() can follow,
-  /// so concurrent infer() calls on one shared bag are race-free.
-  /// Bit-identical to forward() by contract (same gather, same clamping).
-  Matrix infer(const IntBatch& indices) const;
-
-  /// Accumulates gradients for the rows touched by the last forward().
-  void backward(const Matrix& grad_out);
+  /// Sets the table gradients from dL/d(output) of the forward pass that
+  /// gathered the (batch x F) `indices`.
+  void backward(const IntBatch& indices, const Matrix& grad_out);
 
   std::vector<ParamRef> params();
   /// Read-only parameter views (serialization from a const model).
   std::vector<ConstParamRef> params() const;
 
+  /// Width of the concatenated (batch x F*dim) output.
   std::size_t output_dim() const { return vocab_sizes_.size() * dim_; }
   std::size_t dim() const { return dim_; }
   std::size_t num_features() const { return vocab_sizes_.size(); }
 
  private:
+  std::size_t slot(std::size_t f, std::int32_t index) const {
+    return static_cast<std::size_t>(std::clamp<std::int32_t>(index, 0, vocab_sizes_[f] - 1));
+  }
+
   std::vector<int> vocab_sizes_;
   std::size_t dim_;
   std::vector<Matrix> tables_;       // per feature: vocab x dim
   std::vector<Matrix> table_grads_;  // same shapes
-  IntBatch cached_indices_;
 };
 
 }  // namespace airch::ml

@@ -106,7 +106,7 @@ namespace {
 // Two kernel flavours exist, chosen per call:
 //
 //  * SKIP: keeps the reference's `v != 0.0f` branch. Always bit-safe, but
-//    ReLU/dropout-zeroed operands (~50% zeros, randomly placed) make that
+//    ReLU-zeroed operands (~50% zeros, randomly placed) make that
 //    branch unpredictable, and the mispredict costs more than the NR
 //    multiply-adds it skips.
 //  * NOSKIP: no branch — zero terms are multiplied through. This is

@@ -5,7 +5,7 @@
 // output-row blocks and dispatches to the widest SIMD level the CPU offers,
 // while staying bit-identical to the retained reference ikj loop (every C
 // element keeps its exact p-ascending float accumulation order, and the
-// zero-skip semantics for dropout/ReLU-zeroed activations are preserved).
+// zero-skip semantics for ReLU-zeroed activations are preserved).
 
 #include <cstddef>
 #include <functional>
@@ -59,11 +59,11 @@ class Matrix {
 
 /// Process-wide selector for the ML kernel paths. kFast (the default)
 /// routes matmul through the blocked/packed microkernel and enables the
-/// deterministic parallel element loops in the layer implementations;
+/// deterministic parallel element loops (embedding, activation, loss);
 /// kNaive forces the original single-threaded reference paths everywhere.
 /// Both modes produce bit-identical results — the switch exists so
 /// benchmarks and tests can A/B the two paths on the same computation
-/// (bench/bench_train_throughput.cpp asserts trajectory equality).
+/// (TrainingTrajectory in tests/test_models.cpp pins whole fits).
 /// The flag is read atomically but is intended to be set once up front,
 /// not toggled mid-training.
 enum class KernelMode { kNaive, kFast };
@@ -81,7 +81,7 @@ void matmul(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix
 /// The original single-threaded ikj loop, retained verbatim as the
 /// reference implementation the blocked kernel is bit-compared against.
 /// Semantics contract: a term whose scaled A operand `alpha * op(A)(i,p)`
-/// equals zero is SKIPPED, not accumulated — a dropout- or ReLU-zeroed
+/// equals zero is SKIPPED, not accumulated — a ReLU-zeroed
 /// activation row contributes exactly +0.0f to C, never -0.0f and never a
 /// NaN from 0 * inf (pinned by the ZeroRow tests).
 void matmul_reference(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix& c,

@@ -1,117 +1,116 @@
 #include "ml/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.hpp"
 #include "ml/activation.hpp"
-#include "ml/dropout.hpp"
 
 namespace airch::ml {
 
-Matrix Sequential::forward(const Matrix& x, bool training) {
-  Matrix cur = x;
-  for (auto& layer : layers_) cur = layer->forward(cur, training);
-  return cur;
-}
-
-Matrix Sequential::infer(const Matrix& x) const {
-  Matrix cur = x;
-  for (const auto& layer : layers_) cur = layer->infer(cur);
-  return cur;
-}
-
-Matrix Sequential::backward(const Matrix& grad_out) {
-  Matrix cur = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) cur = (*it)->backward(cur);
-  return cur;
-}
-
-std::vector<ParamRef> Sequential::params() {
-  std::vector<ParamRef> out;
-  for (auto& layer : layers_) {
-    auto p = layer->params();
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  return out;
-}
-
-std::vector<ConstParamRef> Sequential::params() const {
-  std::vector<ConstParamRef> out;
-  for (const auto& layer : layers_) {
-    auto p = std::as_const(*layer).params();
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  return out;
-}
-
-namespace {
-void build_body(Sequential& body, std::size_t in_dim, const std::vector<std::size_t>& hidden,
-                std::size_t classes, Rng& rng, double dropout) {
-  std::size_t cur = in_dim;
-  for (std::size_t h : hidden) {
-    body.add(std::make_unique<DenseLayer>(cur, h, rng));
-    body.add(std::make_unique<ReluLayer>());
-    if (dropout > 0.0) body.add(std::make_unique<DropoutLayer>(dropout, rng.next_u64()));
-    cur = h;
-  }
-  body.add(std::make_unique<DenseLayer>(cur, classes, rng));
-}
-}  // namespace
-
 FeedForwardNet::FeedForwardNet(std::vector<int> vocab_sizes, std::size_t embed_dim,
                                const std::vector<std::size_t>& hidden, std::size_t classes,
-                               Rng& rng, double dropout)
-    : embedding_(std::make_unique<EmbeddingBag>(std::move(vocab_sizes), embed_dim, rng)),
-      classes_(classes) {
-  build_body(body_, embedding_->output_dim(), hidden, classes, rng, dropout);
+                               Rng& rng)
+    : embedding_(std::in_place, std::move(vocab_sizes), embed_dim, rng), classes_(classes) {
+  build_dense(embedding_->output_dim(), hidden, classes, rng);
 }
 
 FeedForwardNet::FeedForwardNet(std::size_t input_dim, const std::vector<std::size_t>& hidden,
-                               std::size_t classes, Rng& rng, double dropout)
+                               std::size_t classes, Rng& rng)
     : classes_(classes) {
-  build_body(body_, input_dim, hidden, classes, rng, dropout);
+  build_dense(input_dim, hidden, classes, rng);
 }
 
-Matrix FeedForwardNet::logits(const IntBatch& x, bool training) {
+void FeedForwardNet::build_dense(std::size_t in_dim, const std::vector<std::size_t>& hidden,
+                                 std::size_t classes, Rng& rng) {
+  dense_.reserve(hidden.size() + 1);
+  for (std::size_t h : hidden) {
+    dense_.emplace_back(in_dim, h, rng);
+    in_dim = h;
+  }
+  dense_.emplace_back(in_dim, classes, rng);
+}
+
+Matrix FeedForwardNet::infer_logits(const IntBatch& x, Tape* tape) const {
   if (!embedding_) throw std::logic_error("net has no embedding front-end");
-  return body_.forward(embedding_->forward(x), training);
+  AIRCH_ASSERT(x.cols == embedding_->num_features());
+  const EmbeddingBag& emb = *embedding_;
+  const std::size_t dim = emb.dim();
+  Matrix e(x.rows, emb.output_dim());
+  // Each output row is an independent gather; row-partitioning across
+  // workers is race-free and order-independent (pure copies).
+  parallel_rows(x.rows, emb.output_dim() * 2, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      for (std::size_t f = 0; f < x.cols; ++f) {
+        const float* src = emb.row(f, x(r, f));
+        std::copy(src, src + dim, e.row(r) + f * dim);
+      }
+    }
+  });
+  if (tape == nullptr) return forward_dense(e, nullptr);
+  tape->push_back(std::move(e));
+  return forward_dense(tape->back(), tape);
 }
 
-Matrix FeedForwardNet::logits(const Matrix& x, bool training) {
+Matrix FeedForwardNet::infer_logits(const Matrix& x, Tape* tape) const {
   if (embedding_) throw std::logic_error("net expects integer (embedding) input");
-  return body_.forward(x, training);
+  return forward_dense(x, tape);
 }
 
-Matrix FeedForwardNet::infer_logits(const IntBatch& x) const {
-  if (!embedding_) throw std::logic_error("net has no embedding front-end");
-  return body_.infer(embedding_->infer(x));
+// The Dense/ReLU stack. `x` is read by the first layer only, before the
+// tape grows, so it may itself be the tape's last entry.
+Matrix FeedForwardNet::forward_dense(const Matrix& x, Tape* tape) const {
+  Matrix cur;  // the latest hidden activation when nothing is recorded
+  for (std::size_t i = 0;; ++i) {
+    const Dense& layer = dense_[i];
+    const Matrix& in = i == 0 ? x : tape != nullptr ? tape->back() : cur;
+    AIRCH_ASSERT(in.cols() == layer.w.rows());
+    Matrix y(in.rows(), layer.w.cols());
+    matmul(in, false, layer.w, false, y);
+    add_row_broadcast(y, layer.b);
+    if (i + 1 == dense_.size()) return y;
+    relu(y);
+    if (tape != nullptr) {
+      tape->push_back(std::move(y));
+    } else {
+      cur = std::move(y);
+    }
+  }
 }
 
-Matrix FeedForwardNet::infer_logits(const Matrix& x) const {
-  if (embedding_) throw std::logic_error("net expects integer (embedding) input");
-  return body_.infer(x);
-}
-
-TrainStats FeedForwardNet::apply_loss_and_step(const Matrix& logits_out,
-                                               const std::vector<std::int32_t>& y,
-                                               Optimizer& opt) {
-  const LossResult lr = softmax_cross_entropy(logits_out, y);
-  const Matrix grad_in = body_.backward(lr.grad);
-  if (embedding_) embedding_->backward(grad_in);
-  opt.step(params());
-  return {lr.loss, lr.correct, y.size()};
+// Walks the Dense/ReLU stack backward from dL/d(logits). `x` is the first
+// layer's input and `hidden` the recorded post-ReLU outputs; returns dL/dx.
+Matrix FeedForwardNet::backward_dense(const Matrix& x, std::span<const Matrix> hidden,
+                                      Matrix grad) {
+  AIRCH_ASSERT(hidden.size() + 1 == dense_.size());
+  for (std::size_t i = dense_.size(); i-- > 0;) {
+    grad = dense_[i].backward(i == 0 ? x : hidden[i - 1], grad);
+    if (i > 0) relu_backward(hidden[i - 1], grad);
+  }
+  return grad;
 }
 
 TrainStats FeedForwardNet::train_batch(const IntBatch& x, const std::vector<std::int32_t>& y,
                                        Optimizer& opt) {
   AIRCH_ASSERT(x.rows == y.size());
-  return apply_loss_and_step(logits(x, /*training=*/true), y, opt);
+  Tape tape;
+  LossResult lr = softmax_cross_entropy(infer_logits(x, &tape), y);
+  const Matrix grad_e =
+      backward_dense(tape.front(), std::span<const Matrix>(tape).subspan(1), std::move(lr.grad));
+  embedding_->backward(x, grad_e);
+  opt.step(params());
+  return {lr.loss, lr.correct, y.size()};
 }
 
 TrainStats FeedForwardNet::train_batch(const Matrix& x, const std::vector<std::int32_t>& y,
                                        Optimizer& opt) {
   AIRCH_ASSERT(x.rows() == y.size());
-  return apply_loss_and_step(logits(x, /*training=*/true), y, opt);
+  Tape tape;
+  LossResult lr = softmax_cross_entropy(infer_logits(x, &tape), y);
+  (void)backward_dense(x, tape, std::move(lr.grad));  // no layer below the input
+  opt.step(params());
+  return {lr.loss, lr.correct, y.size()};
 }
 
 std::vector<std::int32_t> FeedForwardNet::predict(const IntBatch& x) const {
@@ -125,16 +124,20 @@ std::vector<std::int32_t> FeedForwardNet::predict(const Matrix& x) const {
 std::vector<ParamRef> FeedForwardNet::params() {
   std::vector<ParamRef> out;
   if (embedding_) out = embedding_->params();
-  auto body = body_.params();
-  out.insert(out.end(), body.begin(), body.end());
+  for (Dense& layer : dense_) {
+    const auto p = layer.params();
+    out.insert(out.end(), p.begin(), p.end());
+  }
   return out;
 }
 
 std::vector<ConstParamRef> FeedForwardNet::params() const {
   std::vector<ConstParamRef> out;
-  if (embedding_) out = std::as_const(*embedding_).params();
-  auto body = std::as_const(body_).params();
-  out.insert(out.end(), body.begin(), body.end());
+  if (embedding_) out = embedding_->params();
+  for (const Dense& layer : dense_) {
+    const auto p = layer.params();
+    out.insert(out.end(), p.begin(), p.end());
+  }
   return out;
 }
 

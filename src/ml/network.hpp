@@ -1,40 +1,26 @@
 #pragma once
-// Sequential float network, plus FeedForwardNet: the complete classifier
-// body used by both the paper's MLP baselines (float input) and
-// AIRCHITECT (per-feature embedding input, Fig. 2).
+// FeedForwardNet: the complete classifier body used by both the paper's
+// MLP baselines (float input) and AIRCHITECT (per-feature embedding input,
+// Fig. 2). One forward function computes every activation; training runs
+// it with a tape and walks the tape backward.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <utility>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "ml/dense.hpp"
 #include "ml/embedding.hpp"
-#include "ml/layer.hpp"
 #include "ml/loss.hpp"
 #include "ml/optimizer.hpp"
 
 namespace airch::ml {
 
-class Sequential {
- public:
-  void add(std::unique_ptr<Layer> layer) { layers_.push_back(std::move(layer)); }
-
-  Matrix forward(const Matrix& x, bool training);
-  /// Side-effect-free inference forward (see Layer::infer): safe to call
-  /// concurrently on one shared network, bit-identical to
-  /// forward(x, /*training=*/false).
-  Matrix infer(const Matrix& x) const;
-  /// Backward through all layers; returns dL/d(input of first layer).
-  Matrix backward(const Matrix& grad_out);
-  std::vector<ParamRef> params();
-  std::vector<ConstParamRef> params() const;
-  std::size_t num_layers() const { return layers_.size(); }
-
- private:
-  std::vector<std::unique_ptr<Layer>> layers_;
-};
+/// The activations one forward pass produced, in order: the embedding
+/// output (embedding input only), then each hidden layer's post-ReLU
+/// output — each one the recorded input of the next Dense layer.
+using Tape = std::vector<Matrix>;
 
 struct TrainStats {
   double loss = 0.0;
@@ -64,44 +50,43 @@ class FeedForwardNet {
  public:
   /// Embedding-input variant (AIRCHITECT): per-feature vocabularies,
   /// an embedding width, then hidden ReLU layers and a logits layer.
-  /// dropout > 0 inserts inverted-dropout after every hidden activation.
   FeedForwardNet(std::vector<int> vocab_sizes, std::size_t embed_dim,
-                 const std::vector<std::size_t>& hidden, std::size_t classes, Rng& rng,
-                 double dropout = 0.0);
+                 const std::vector<std::size_t>& hidden, std::size_t classes, Rng& rng);
 
   /// Float-input variant (MLP-A..D baselines).
   FeedForwardNet(std::size_t input_dim, const std::vector<std::size_t>& hidden,
-                 std::size_t classes, Rng& rng, double dropout = 0.0);
+                 std::size_t classes, Rng& rng);
 
-  bool has_embedding() const { return embedding_ != nullptr; }
+  bool has_embedding() const { return embedding_.has_value(); }
   std::size_t num_classes() const { return classes_; }
 
-  /// Forward to logits. Exactly one of these is legal per variant.
-  Matrix logits(const IntBatch& x, bool training);
-  Matrix logits(const Matrix& x, bool training);
+  /// The forward pass to logits; exactly one overload is legal per
+  /// variant. Without a tape it has no side effects, so many threads can
+  /// share one trained net. With one, every activation it produces is
+  /// moved onto `tape` (appended), which is all a backward pass needs.
+  Matrix infer_logits(const IntBatch& x, Tape* tape = nullptr) const;
+  Matrix infer_logits(const Matrix& x, Tape* tape = nullptr) const;
 
-  /// Inference-mode logits with no side effects (nothing cached for a
-  /// backward pass), so many threads can share one trained net. Matches
-  /// logits(x, /*training=*/false) bit-for-bit.
-  Matrix infer_logits(const IntBatch& x) const;
-  Matrix infer_logits(const Matrix& x) const;
-
-  /// One SGD step on a batch; returns loss/accuracy stats.
+  /// One optimizer step on a batch: infer_logits on a per-call tape, the
+  /// loss, the backward pass over the tape. Returns loss/accuracy stats.
   [[nodiscard]] TrainStats train_batch(const IntBatch& x, const std::vector<std::int32_t>& y, Optimizer& opt);
   [[nodiscard]] TrainStats train_batch(const Matrix& x, const std::vector<std::int32_t>& y, Optimizer& opt);
 
   std::vector<std::int32_t> predict(const IntBatch& x) const;
   std::vector<std::int32_t> predict(const Matrix& x) const;
 
+  /// Embedding tables first, then W and b of each Dense layer in order.
   std::vector<ParamRef> params();
   std::vector<ConstParamRef> params() const;
 
  private:
-  [[nodiscard]] TrainStats apply_loss_and_step(const Matrix& logits_out, const std::vector<std::int32_t>& y,
-                                 Optimizer& opt);
+  void build_dense(std::size_t in_dim, const std::vector<std::size_t>& hidden,
+                   std::size_t classes, Rng& rng);
+  Matrix forward_dense(const Matrix& x, Tape* tape) const;
+  Matrix backward_dense(const Matrix& x, std::span<const Matrix> hidden, Matrix grad);
 
-  std::unique_ptr<EmbeddingBag> embedding_;
-  Sequential body_;
+  std::optional<EmbeddingBag> embedding_;
+  std::vector<Dense> dense_;
   std::size_t classes_ = 0;
 };
 

@@ -3,12 +3,27 @@
 // must be identical (same order, same sizes) on every step() call — Adam
 // and momentum keep per-parameter state indexed by position.
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
-#include "ml/layer.hpp"
-
 namespace airch::ml {
+
+/// A view of one trainable parameter tensor and its gradient, consumed by
+/// optimizers. The pointed-to storage lives inside the layer.
+struct ParamRef {
+  float* value = nullptr;
+  float* grad = nullptr;
+  std::size_t size = 0;
+};
+
+/// Read-only view of one parameter tensor (serialization path): no grad
+/// pointer and no mutable access, so a const network can be saved without
+/// const_cast.
+struct ConstParamRef {
+  const float* value = nullptr;
+  std::size_t size = 0;
+};
 
 class Optimizer {
  public:

@@ -191,10 +191,9 @@ void NeuralClassifier::build_net(std::size_t classes, std::size_t input_dim,
   Rng rng(options_.seed);
   if (uses_embedding()) {
     net_ = std::make_unique<ml::FeedForwardNet>(vocab, options_.embed_dim, options_.hidden,
-                                                classes, rng, options_.dropout);
+                                                classes, rng);
   } else {
-    net_ = std::make_unique<ml::FeedForwardNet>(input_dim, options_.hidden, classes, rng,
-                                                options_.dropout);
+    net_ = std::make_unique<ml::FeedForwardNet>(input_dim, options_.hidden, classes, rng);
   }
 }
 
@@ -206,7 +205,7 @@ void NeuralClassifier::save(BinWriter& out) const {
   out.put_u64(options_.hidden.size());
   for (const auto h : options_.hidden) out.put_u64(h);
   out.put_f64(options_.learning_rate);
-  out.put_f64(options_.dropout);
+  out.put_f64(0.0);  // reserved slot (a dropout rate in earlier versions); always 0
   out.put_u64(options_.seed);
   out.put_u64(net_->num_classes());
   out.put_u64(fitted_input_dim_);
@@ -244,8 +243,7 @@ std::unique_ptr<NeuralClassifier> NeuralClassifier::load(BinReader& in) {
     AIRCH_CHECK(h >= 1, "model file: zero-width hidden layer");
   }
   o.learning_rate = in.get_f64();
-  o.dropout = in.get_f64();
-  AIRCH_CHECK(o.dropout >= 0.0 && o.dropout < 1.0, "model file: dropout rate outside [0, 1)");
+  AIRCH_CHECK(in.get_f64() == 0.0, "model file: reserved dropout slot is not 0");
   o.seed = in.get_u64();
 
   const std::uint64_t classes = in.get_u64();

@@ -29,7 +29,6 @@ class NeuralClassifier final : public Classifier {
     std::size_t batch_size = 256;
     double learning_rate = 1e-3;              ///< Adam
     double lr_decay = 1.0;                    ///< per-epoch multiplicative decay
-    double dropout = 0.0;                     ///< hidden-layer dropout rate
     int early_stop_patience = 0;              ///< stop after N epochs without
                                               ///< val-accuracy improvement (0 = off)
     std::uint64_t seed = 1;

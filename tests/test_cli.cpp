@@ -52,47 +52,70 @@ TEST(Cli, BareBooleanFlag) {
   EXPECT_TRUE(p.boolean("verbose"));
 }
 
-TEST(Cli, UnknownFlagThrows) {
+// A bad command line is a reported error, not an exception: parse()
+// prints `<program>: <reason naming the flag>` and exits 1.
+using ::testing::ExitedWithCode;
+
+TEST(Cli, UnknownFlagExits) {
   auto p = make_parser();
   const char* argv[] = {"prog", "--bogus=1"};
-  EXPECT_THROW(p.parse(2, argv), std::invalid_argument);
+  EXPECT_EXIT(p.parse(2, argv), ExitedWithCode(1), "prog: unknown flag --bogus");
 }
 
-TEST(Cli, BadIntegerThrows) {
+TEST(Cli, BadIntegerExits) {
+  for (const char* bad : {"--count=abc", "--count=12x", "--count="}) {
+    auto p = make_parser();
+    const char* argv[] = {"prog", bad};
+    EXPECT_EXIT(p.parse(2, argv), ExitedWithCode(1), "prog: bad integer for --count") << bad;
+  }
+}
+
+TEST(Cli, NumberOutsideTheTypeExits) {
+  // std::stoll / std::stod throw std::out_of_range here; it must still
+  // name the flag rather than escape as a bare "stoll".
   auto p = make_parser();
-  const char* argv[] = {"prog", "--count=abc"};
-  EXPECT_THROW(p.parse(2, argv), std::invalid_argument);
+  const char* argv[] = {"prog", "--count=99999999999999999999"};
+  EXPECT_EXIT(p.parse(2, argv), ExitedWithCode(1), "prog: value out of range for --count");
+  auto q = make_parser();
+  const char* argv_real[] = {"prog", "--rate=1e999"};
+  EXPECT_EXIT(q.parse(2, argv_real), ExitedWithCode(1), "prog: value out of range for --rate");
 }
 
-TEST(Cli, BadBooleanThrows) {
+TEST(Cli, BadRealExits) {
+  auto p = make_parser();
+  const char* argv[] = {"prog", "--rate=fast"};
+  EXPECT_EXIT(p.parse(2, argv), ExitedWithCode(1), "prog: bad real for --rate");
+}
+
+TEST(Cli, BadBooleanExits) {
   auto p = make_parser();
   const char* argv[] = {"prog", "--verbose=maybe"};
-  EXPECT_THROW(p.parse(2, argv), std::invalid_argument);
+  EXPECT_EXIT(p.parse(2, argv), ExitedWithCode(1), "prog: bad boolean for --verbose");
 }
 
-TEST(Cli, MissingValueThrows) {
+TEST(Cli, MissingValueExits) {
   auto p = make_parser();
   const char* argv[] = {"prog", "--count"};
-  EXPECT_THROW(p.parse(2, argv), std::invalid_argument);
+  EXPECT_EXIT(p.parse(2, argv), ExitedWithCode(1), "prog: missing value for flag --count");
 }
 
-TEST(Cli, PositionalArgThrows) {
+TEST(Cli, PositionalArgExits) {
   auto p = make_parser();
   const char* argv[] = {"prog", "stray"};
-  EXPECT_THROW(p.parse(2, argv), std::invalid_argument);
+  EXPECT_EXIT(p.parse(2, argv), ExitedWithCode(1), "prog: unexpected positional argument: stray");
 }
 
-TEST(Cli, DuplicateFlagThrows) {
+TEST(Cli, DuplicateFlagExits) {
   auto p = make_parser();
   const char* argv[] = {"prog", "--count=1", "--count=2"};
-  EXPECT_THROW(p.parse(3, argv), std::invalid_argument);
+  EXPECT_EXIT(p.parse(3, argv), ExitedWithCode(1), "prog: duplicate flag --count");
 }
 
-TEST(Cli, DuplicateFlagThrowsAcrossSyntaxes) {
+TEST(Cli, DuplicateFlagExitsAcrossSyntaxes) {
   // The same flag via `--name value` then `--name=value` is still a dup.
   auto p = make_parser();
   const char* argv[] = {"prog", "--count", "1", "--count=2"};
-  EXPECT_THROW(p.parse(4, argv), std::invalid_argument);
+  EXPECT_EXIT(p.parse(4, argv), ExitedWithCode(1), "prog: duplicate flag --count");
 }
 
 TEST(Cli, RangeAcceptsEndpoints) {
@@ -119,7 +142,9 @@ TEST(Cli, RangeRejectsOutOfRange) {
     ArgParser p("prog", "bounded");
     p.flag_i64("points", 10, "bounded count", 1, 100);
     const char* argv[] = {"prog", bad};
-    EXPECT_THROW(p.parse(2, argv), std::invalid_argument) << bad;
+    EXPECT_EXIT(p.parse(2, argv), ExitedWithCode(1),
+                "prog: value out of range for --points: .* \\(allowed: 1\\.\\.100\\)")
+        << bad;
   }
 }
 
@@ -164,7 +189,8 @@ TEST(Cli, GenerateDatasetStyleRangesRejectOutOfRange) {
     p.flag_i64("threads", 0, "workers (0 = hardware default)", 0, 1024);
     p.flag_i64("shards", 1, "contiguous shards", 1, 256);
     const char* argv[] = {"generate_dataset", bad};
-    EXPECT_THROW(p.parse(2, argv), std::invalid_argument) << bad;
+    EXPECT_EXIT(p.parse(2, argv), ExitedWithCode(1), "generate_dataset: value out of range")
+        << bad;
   }
 }
 
@@ -180,7 +206,8 @@ TEST(Cli, GenerateDatasetStyleDuplicateFlagsRejected) {
     p.flag_i64("shards", 1, "shards", 1, 256);
     p.flag_str("snapshot", "", "cache snapshot path");
     const char* argv[] = {"generate_dataset", dup.first, dup.second};
-    EXPECT_THROW(p.parse(3, argv), std::invalid_argument) << dup.first;
+    EXPECT_EXIT(p.parse(3, argv), ExitedWithCode(1), "generate_dataset: duplicate flag")
+        << dup.first;
   }
 }
 
@@ -203,7 +230,9 @@ TEST(Cli, QueryRecommenderTopkRangeRejectsOutOfRange) {
     ArgParser p("query_recommender", "topk range");
     p.flag_i64("topk", 1, "print the k most likely configurations", 1, 1944);
     const char* argv[] = {"query_recommender", bad};
-    EXPECT_THROW(p.parse(2, argv), std::invalid_argument) << bad;
+    EXPECT_EXIT(p.parse(2, argv), ExitedWithCode(1),
+                "query_recommender: value out of range for --topk")
+        << bad;
   }
 }
 

@@ -1,15 +1,21 @@
-// Finite-difference gradient checks for every trainable layer and the
-// fused softmax cross-entropy — the backbone correctness guarantee of the
-// from-scratch NN stack.
+// Finite-difference gradient checks for every trainable layer's backward
+// pass and the fused softmax cross-entropy — the backbone correctness
+// guarantee of the from-scratch NN stack. A layer holds parameters only,
+// so each check states its forward pass here (y = x W + b, the embedding
+// gather); tests/test_network.cpp checks the network's own forward.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "ml/activation.hpp"
 #include "ml/dense.hpp"
 #include "ml/embedding.hpp"
 #include "ml/loss.hpp"
+#include "ml/network.hpp"
 
 namespace airch::ml {
 namespace {
@@ -40,22 +46,39 @@ void expect_close(float analytic, float numeric, const std::string& what) {
       << what << ": analytic=" << analytic << " numeric=" << numeric;
 }
 
+Matrix dense_forward(const Dense& layer, const Matrix& x) {
+  Matrix y(x.rows(), layer.w.cols());
+  matmul(x, false, layer.w, false, y);
+  add_row_broadcast(y, layer.b);
+  return y;
+}
+
+Matrix gather(const EmbeddingBag& emb, const IntBatch& x) {
+  Matrix out(x.rows, emb.output_dim());
+  for (std::size_t r = 0; r < x.rows; ++r) {
+    for (std::size_t f = 0; f < x.cols; ++f) {
+      const float* src = emb.row(f, x(r, f));
+      std::copy(src, src + emb.dim(), out.row(r) + f * emb.dim());
+    }
+  }
+  return out;
+}
+
 TEST(GradCheck, DenseInputGradient) {
   Rng rng(3);
-  DenseLayer layer(4, 3, rng);
+  Dense layer(4, 3, rng);
   Matrix x = random_matrix(5, 4, rng);
   const Matrix coeff = random_matrix(5, 3, rng);
 
-  layer.forward(x, true);
-  const Matrix grad_in = layer.backward(coeff);
+  const Matrix grad_in = layer.backward(x, coeff);
 
   for (std::size_t r = 0; r < x.rows(); ++r) {
     for (std::size_t c = 0; c < x.cols(); ++c) {
       const float orig = x(r, c);
       x(r, c) = orig + kEps;
-      const double plus = weighted_sum(layer.forward(x, true), coeff);
+      const double plus = weighted_sum(dense_forward(layer, x), coeff);
       x(r, c) = orig - kEps;
-      const double minus = weighted_sum(layer.forward(x, true), coeff);
+      const double minus = weighted_sum(dense_forward(layer, x), coeff);
       x(r, c) = orig;
       const float numeric = static_cast<float>((plus - minus) / (2.0 * kEps));
       expect_close(grad_in(r, c), numeric, "dX[" + std::to_string(r) + "," + std::to_string(c) + "]");
@@ -65,12 +88,11 @@ TEST(GradCheck, DenseInputGradient) {
 
 TEST(GradCheck, DenseParamGradients) {
   Rng rng(5);
-  DenseLayer layer(3, 2, rng);
+  Dense layer(3, 2, rng);
   const Matrix x = random_matrix(4, 3, rng);
   const Matrix coeff = random_matrix(4, 2, rng);
 
-  layer.forward(x, true);
-  layer.backward(coeff);
+  (void)layer.backward(x, coeff);  // parameter gradients only
   auto params = layer.params();  // [0] = W, [1] = b
 
   for (const auto& p : params) {
@@ -78,9 +100,9 @@ TEST(GradCheck, DenseParamGradients) {
       const float analytic = p.grad[i];
       const float orig = p.value[i];
       p.value[i] = orig + kEps;
-      const double plus = weighted_sum(layer.forward(x, true), coeff);
+      const double plus = weighted_sum(dense_forward(layer, x), coeff);
       p.value[i] = orig - kEps;
-      const double minus = weighted_sum(layer.forward(x, true), coeff);
+      const double minus = weighted_sum(dense_forward(layer, x), coeff);
       p.value[i] = orig;
       const float numeric = static_cast<float>((plus - minus) / (2.0 * kEps));
       expect_close(analytic, numeric, "param[" + std::to_string(i) + "]");
@@ -90,15 +112,21 @@ TEST(GradCheck, DenseParamGradients) {
 
 TEST(GradCheck, ReluGradient) {
   Rng rng(7);
-  ReluLayer layer;
-  Matrix x = random_matrix(6, 5, rng);
+  const Matrix x = random_matrix(6, 5, rng);
   const Matrix coeff = random_matrix(6, 5, rng);
 
-  layer.forward(x, true);
-  const Matrix grad_in = layer.backward(coeff);
+  Matrix y = x;
+  relu(y);
+  Matrix grad_in = coeff;
+  relu_backward(y, grad_in);
   for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(y.data()[i], x.data()[i] > 0.0f ? x.data()[i] : 0.0f);
     const float expected = x.data()[i] > 0.0f ? coeff.data()[i] : 0.0f;
     EXPECT_FLOAT_EQ(grad_in.data()[i], expected);
+    // The mask multiplies: a blocked negative gradient keeps its sign.
+    if (!(x.data()[i] > 0.0f)) {
+      EXPECT_EQ(std::signbit(grad_in.data()[i]), std::signbit(coeff.data()[i]));
+    }
   }
 }
 
@@ -115,8 +143,7 @@ TEST(GradCheck, EmbeddingTableGradient) {
   x(2, 1) = 2;
   const Matrix coeff = random_matrix(3, emb.output_dim(), rng);
 
-  emb.forward(x);
-  emb.backward(coeff);
+  emb.backward(x, coeff);
   auto params = emb.params();
 
   for (const auto& p : params) {
@@ -124,9 +151,9 @@ TEST(GradCheck, EmbeddingTableGradient) {
       const float analytic = p.grad[i];
       const float orig = p.value[i];
       p.value[i] = orig + kEps;
-      const double plus = weighted_sum(emb.forward(x), coeff);
+      const double plus = weighted_sum(gather(emb, x), coeff);
       p.value[i] = orig - kEps;
-      const double minus = weighted_sum(emb.forward(x), coeff);
+      const double minus = weighted_sum(gather(emb, x), coeff);
       p.value[i] = orig;
       const float numeric = static_cast<float>((plus - minus) / (2.0 * kEps));
       expect_close(analytic, numeric, "emb[" + std::to_string(i) + "]");
@@ -155,27 +182,51 @@ TEST(GradCheck, SoftmaxCrossEntropyGradient) {
 TEST(Embedding, OutOfRangeIndicesClamped) {
   Rng rng(13);
   EmbeddingBag emb({4}, 2, rng);
-  IntBatch x;
-  x.resize(2, 1);
-  x(0, 0) = -5;
-  x(1, 0) = 99;
-  const Matrix out = emb.forward(x);  // must not crash
+  EXPECT_EQ(emb.row(0, -5), emb.row(0, 0));
+  EXPECT_EQ(emb.row(0, 99), emb.row(0, 3));
+
+  // Through the network's gather, and into the backward scatter.
+  FeedForwardNet net({4}, 2, {}, 3, rng);
+  IntBatch out_of_range;
+  out_of_range.resize(2, 1);
+  out_of_range(0, 0) = -5;
+  out_of_range(1, 0) = 99;
+  IntBatch clamped = out_of_range;
+  clamped(0, 0) = 0;
+  clamped(1, 0) = 3;
+  Tape tape;
+  const Matrix out = net.infer_logits(out_of_range, &tape);  // must not crash
   EXPECT_EQ(out.rows(), 2u);
-  EXPECT_EQ(out.cols(), 2u);
+  EXPECT_EQ(out.cols(), 3u);
+  Tape clamped_tape;
+  (void)net.infer_logits(clamped, &clamped_tape);
+  ASSERT_EQ(tape.size(), 1u);
+  EXPECT_EQ(std::memcmp(tape[0].data(), clamped_tape[0].data(), tape[0].size() * sizeof(float)),
+            0);
+
+  const Matrix coeff = random_matrix(2, emb.output_dim(), rng);
+  emb.backward(out_of_range, coeff);
+  const auto p = emb.params()[0];
+  for (std::size_t d = 0; d < 2; ++d) {
+    EXPECT_EQ(p.grad[0 * 2 + d], coeff(0, d));
+    EXPECT_EQ(p.grad[3 * 2 + d], coeff(1, d));
+  }
 }
 
 TEST(Embedding, OutputLayout) {
   Rng rng(15);
-  EmbeddingBag emb({3, 3}, 4, rng);
-  EXPECT_EQ(emb.output_dim(), 8u);
-  EXPECT_EQ(emb.num_features(), 2u);
+  FeedForwardNet net({3, 3}, 4, {}, 2, rng);
   IntBatch x;
   x.resize(1, 2);
   x(0, 0) = 1;
   x(0, 1) = 2;
-  const Matrix out = emb.forward(x);
+  Tape tape;
+  (void)net.infer_logits(x, &tape);
+  ASSERT_EQ(tape.size(), 1u);  // the embedding output; no hidden layer
+  const Matrix& out = tape[0];
+  ASSERT_EQ(out.cols(), 8u);
   // First 4 entries = table0 row1; last 4 = table1 row2.
-  auto params = emb.params();
+  const auto params = net.params();
   for (std::size_t d = 0; d < 4; ++d) {
     EXPECT_FLOAT_EQ(out(0, d), params[0].value[1 * 4 + d]);
     EXPECT_FLOAT_EQ(out(0, 4 + d), params[1].value[2 * 4 + d]);
@@ -184,8 +235,8 @@ TEST(Embedding, OutputLayout) {
 
 TEST(Dense, ZeroSizeRejected) {
   Rng rng(17);
-  EXPECT_THROW(DenseLayer(0, 5, rng), std::invalid_argument);
-  EXPECT_THROW(DenseLayer(5, 0, rng), std::invalid_argument);
+  EXPECT_THROW(Dense(0, 5, rng), std::invalid_argument);
+  EXPECT_THROW(Dense(5, 0, rng), std::invalid_argument);
 }
 
 TEST(Embedding, BadSpecRejected) {

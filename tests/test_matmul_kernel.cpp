@@ -308,7 +308,7 @@ TEST(MatmulKernel, ConcurrentTrainingIsRaceFreeAndDeterministic) {
   std::vector<std::vector<float>> first_weights(kThreads);
   auto run = [&](int tid, std::vector<float>& out) {
     airch::Rng rng(1234);
-    airch::ml::FeedForwardNet net(64, {96}, 10, rng, 0.0);
+    airch::ml::FeedForwardNet net(64, {96}, 10, rng);
     airch::ml::Adam opt(1e-3);
     std::mt19937 data_rng(99);  // same seed on every thread
     Matrix x(32, 64);

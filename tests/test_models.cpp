@@ -1,9 +1,20 @@
 // Every classifier in the Fig. 9 zoo must learn a simple synthetic design
 // rule far better than chance. The dataset mimics the structure of the
 // real case studies: integer features, label a deterministic function.
+// Also: early stopping in the neural fit loop, and the naive-vs-fast
+// kernel training trajectory.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <string>
+
+#include "common/binio.hpp"
+#include "file_bytes.hpp"
+#include "ml/matrix.hpp"
 #include "models/gbt.hpp"
 #include "models/neural.hpp"
 #include "models/svc.hpp"
@@ -151,6 +162,102 @@ TEST(GbtOptions, SubsampleCapRespected) {
   EXPECT_EQ(hist.size(), 2u);
   // Still learns something better than the 4-class chance floor.
   EXPECT_GT(clf.accuracy(val, enc), 0.4);
+}
+
+// Early stopping: the overfitting counter-measure of the neural fit loop.
+Dataset tiny_task(std::size_t n, std::uint64_t seed) {
+  Dataset ds({"a", "b"}, 2);
+  Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t a = rng.uniform_int(0, 100);
+    const std::int64_t b = rng.uniform_int(0, 100);
+    ds.add({{a, b}, a > b ? 1 : 0});
+  }
+  return ds;
+}
+
+TEST(EarlyStopping, StopsBeforeEpochBudget) {
+  NeuralClassifier::Options o;
+  o.hidden = {16};
+  o.epochs = 100;
+  o.early_stop_patience = 2;
+  NeuralClassifier clf("es", o);
+  const Dataset train = tiny_task(400, 1);
+  const Dataset val = tiny_task(100, 2);
+  const FeatureEncoder enc(train);
+  const auto history = clf.fit(train, val, enc);
+  // A trivially learnable task saturates quickly; patience must kick in
+  // long before 100 epochs.
+  EXPECT_LT(history.size(), 50u);
+}
+
+TEST(EarlyStopping, DisabledRunsAllEpochs) {
+  NeuralClassifier::Options o;
+  o.hidden = {16};
+  o.epochs = 12;
+  NeuralClassifier clf("no-es", o);
+  const Dataset train = tiny_task(200, 3);
+  const Dataset val = tiny_task(50, 4);
+  const FeatureEncoder enc(train);
+  EXPECT_EQ(clf.fit(train, val, enc).size(), 12u);
+}
+
+// The fast-vs-reference kernel contract, end to end through training:
+// the same fit under KernelMode::kNaive (the single-threaded reference
+// loops) and kFast (blocked matmul plus parallel element loops, forced
+// onto 4 workers) must produce the same epoch history, compared as exact
+// doubles, and the same parameters byte for byte. Covers the embedding
+// front-end (AIRCHITECT) and a float MLP with two hidden layers.
+struct Trajectory {
+  std::vector<EpochStats> history;
+  std::string model_bytes;  // every parameter tensor's bit patterns
+};
+
+Trajectory fit_under(ml::KernelMode mode, std::unique_ptr<NeuralClassifier> clf,
+                     const Dataset& train, const Dataset& val, const FeatureEncoder& enc) {
+  const ml::KernelMode saved = ml::kernel_mode();
+  ml::set_kernel_mode(mode);
+  Trajectory t;
+  t.history = clf->fit(train, val, enc);
+  ml::set_kernel_mode(saved);
+  const std::string path = ::testing::TempDir() + "trajectory_" + clf->name() + ".bin";
+  {
+    BinWriter out(path);
+    clf->save(out);
+  }
+  t.model_bytes = test::read_file(path);
+  std::remove(path.c_str());
+  return t;
+}
+
+void expect_identical_trajectories(const Trajectory& naive, const Trajectory& fast) {
+  ASSERT_EQ(naive.history.size(), fast.history.size());
+  for (std::size_t i = 0; i < naive.history.size(); ++i) {
+    // Exact double equality on purpose: the contract is bit-identity.
+    EXPECT_EQ(naive.history[i].train_loss, fast.history[i].train_loss) << "epoch " << i + 1;
+    EXPECT_EQ(naive.history[i].train_accuracy, fast.history[i].train_accuracy)
+        << "epoch " << i + 1;
+    EXPECT_EQ(naive.history[i].val_accuracy, fast.history[i].val_accuracy) << "epoch " << i + 1;
+  }
+  ASSERT_FALSE(naive.model_bytes.empty());
+  ASSERT_EQ(naive.model_bytes.size(), fast.model_bytes.size());
+  EXPECT_EQ(std::memcmp(naive.model_bytes.data(), fast.model_bytes.data(),
+                        naive.model_bytes.size()),
+            0);
+}
+
+TEST(TrainingTrajectory, NaiveAndFastKernelsTrainBitIdentically) {
+  ASSERT_EQ(setenv("AIRCH_THREADS", "4", 1), 0);
+  const Dataset train = synthetic_dataset(1200, 6);
+  const Dataset val = synthetic_dataset(200, 7);
+  const FeatureEncoder enc(train);
+  expect_identical_trajectories(
+      fit_under(ml::KernelMode::kNaive, make_airchitect(3, 3), train, val, enc),
+      fit_under(ml::KernelMode::kFast, make_airchitect(3, 3), train, val, enc));
+  expect_identical_trajectories(
+      fit_under(ml::KernelMode::kNaive, make_mlp_d(3, 3), train, val, enc),
+      fit_under(ml::KernelMode::kFast, make_mlp_d(3, 3), train, val, enc));
+  ASSERT_EQ(unsetenv("AIRCH_THREADS"), 0);
 }
 
 }  // namespace

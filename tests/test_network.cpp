@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "ml/activation.hpp"
+#include <algorithm>
+#include <cmath>
+#include <string>
 
 namespace airch::ml {
 namespace {
@@ -102,11 +104,11 @@ TEST(FeedForwardNet, ModalityMismatchThrows) {
   FeedForwardNet float_net(4, {8}, 2, rng);
   IntBatch ints;
   ints.resize(1, 4);
-  EXPECT_THROW(float_net.logits(ints, false), std::logic_error);
+  EXPECT_THROW((void)float_net.infer_logits(ints), std::logic_error);
 
   FeedForwardNet embed_net({4, 4, 4, 4}, 4, {8}, 2, rng);
   Matrix floats(1, 4);
-  EXPECT_THROW(embed_net.logits(floats, false), std::logic_error);
+  EXPECT_THROW((void)embed_net.infer_logits(floats), std::logic_error);
 }
 
 TEST(FeedForwardNet, ParamsCoverAllLayers) {
@@ -118,21 +120,90 @@ TEST(FeedForwardNet, ParamsCoverAllLayers) {
   EXPECT_EQ(net.num_classes(), 3u);
 }
 
-TEST(Sequential, ForwardBackwardShapes) {
+TEST(FeedForwardNet, TwoHiddenLayerShapes) {
   Rng rng(19);
-  Sequential seq;
-  seq.add(std::make_unique<DenseLayer>(6, 4, rng));
-  seq.add(std::make_unique<ReluLayer>());
-  seq.add(std::make_unique<DenseLayer>(4, 2, rng));
-  Matrix x(3, 6, 0.5f);
-  const Matrix out = seq.forward(x, true);
+  FeedForwardNet net(6, {4, 5}, 2, rng);
+  const Matrix x(3, 6, 0.5f);
+  Tape tape;
+  const Matrix out = net.infer_logits(x, &tape);
   EXPECT_EQ(out.rows(), 3u);
   EXPECT_EQ(out.cols(), 2u);
-  Matrix grad(3, 2, 1.0f);
-  const Matrix grad_in = seq.backward(grad);
-  EXPECT_EQ(grad_in.rows(), 3u);
-  EXPECT_EQ(grad_in.cols(), 6u);
-  EXPECT_EQ(seq.num_layers(), 3u);
+  // One post-ReLU activation per hidden layer; the caller's input is not copied.
+  ASSERT_EQ(tape.size(), 2u);
+  EXPECT_EQ(tape[0].rows(), 3u);
+  EXPECT_EQ(tape[0].cols(), 4u);
+  EXPECT_EQ(tape[1].rows(), 3u);
+  EXPECT_EQ(tape[1].cols(), 5u);
+  EXPECT_EQ(net.params().size(), 6u);  // W and b of three Dense layers
+
+  // The recording pass computes exactly what plain inference does.
+  const Matrix plain = net.infer_logits(x);
+  EXPECT_TRUE(std::equal(out.data(), out.data() + out.size(), plain.data()));
+
+  FeedForwardNet embed_net({3, 3}, 2, {4, 5}, 2, rng);
+  IntBatch ints;
+  ints.resize(3, 2);
+  Tape embed_tape;
+  EXPECT_EQ(embed_net.infer_logits(ints, &embed_tape).cols(), 2u);
+  ASSERT_EQ(embed_tape.size(), 3u);  // the embedding output, then two hidden
+  EXPECT_EQ(embed_tape[0].cols(), 4u);
+}
+
+/// An optimizer that leaves every parameter alone, so the gradients one
+/// train_batch leaves in the parameter views can be read back.
+class NoStep final : public Optimizer {
+ public:
+  NoStep() : Optimizer(0.0) {}
+  void step(const std::vector<ParamRef>& /*params*/) override {}
+};
+
+/// Central differences of the batch loss against the gradients train_batch
+/// computed, for every parameter of the net: the forward pass
+/// (infer_logits), the tape and the backward pass checked as one.
+template <typename Input>
+void expect_network_gradients(FeedForwardNet& net, const Input& x,
+                              const std::vector<std::int32_t>& y) {
+  // Small enough that no perturbation moves a ReLU input across zero.
+  constexpr float kEps = 1e-4f;
+  NoStep no_step;
+  (void)net.train_batch(x, y, no_step);  // fills the gradients only
+  const auto params = net.params();
+  for (std::size_t t = 0; t < params.size(); ++t) {
+    const ParamRef& p = params[t];
+    for (std::size_t i = 0; i < p.size; ++i) {
+      const float orig = p.value[i];
+      p.value[i] = orig + kEps;
+      const double plus = softmax_cross_entropy(net.infer_logits(x), y).loss;
+      p.value[i] = orig - kEps;
+      const double minus = softmax_cross_entropy(net.infer_logits(x), y).loss;
+      p.value[i] = orig;
+      const auto numeric = static_cast<float>((plus - minus) / (2.0 * kEps));
+      const float denom = std::max({std::abs(p.grad[i]), std::abs(numeric), 1e-2f});
+      EXPECT_LT(std::abs(p.grad[i] - numeric) / denom, 2e-2f)
+          << "tensor " << t << " [" << i << "]: analytic=" << p.grad[i] << " numeric=" << numeric;
+    }
+  }
+}
+
+TEST(FeedForwardNet, WholeNetworkGradientCheck) {
+  Rng rng(21);
+  const std::vector<std::int32_t> y = {0, 2, 1, 2};
+
+  FeedForwardNet float_net(3, {5, 4}, 3, rng);
+  Matrix floats(4, 3);
+  for (std::size_t i = 0; i < floats.size(); ++i) {
+    floats.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  expect_network_gradients(float_net, floats, y);
+
+  FeedForwardNet embed_net({3, 4}, 2, {5, 4}, 3, rng);
+  IntBatch ints;
+  ints.resize(4, 2);
+  for (std::size_t r = 0; r < 4; ++r) {
+    ints(r, 0) = static_cast<std::int32_t>(r % 3);
+    ints(r, 1) = static_cast<std::int32_t>((r * 3) % 4);
+  }
+  expect_network_gradients(embed_net, ints, y);
 }
 
 }  // namespace

@@ -333,5 +333,36 @@ TEST_F(ModelFileCorruptionTest, FormatOneTextFileIsRejectedWithARetrainHint) {
   EXPECT_NE(message.find("retrain"), std::string::npos) << message;
 }
 
+/// The 8 little-endian bytes BinWriter::put_f64 writes for `v`.
+std::string f64_bytes(double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  std::string out(8, '\0');
+  for (std::size_t i = 0; i < 8; ++i) out[i] = static_cast<char>((bits >> (8 * i)) & 0xFFu);
+  return out;
+}
+
+TEST_F(ModelFileCorruptionTest, NonZeroReservedDropoutSlotIsRejected) {
+  // The classifier section's f64 after the learning rate once held a
+  // dropout rate; format 2 keeps it as a reserved slot that must be 0.
+  // Header: u64 magic, u32 version, u32 case, u32 classes, f64 val_acc.
+  // Classifier: u64 name size, "tiny", u64 embed_dim, u64 hidden count,
+  // u64 width, f64 learning rate, then the slot.
+  constexpr std::size_t kSlot = 28 + 8 + 4 + 8 + 8 + 8 + 8;
+  ASSERT_EQ(good_.substr(kSlot - 8, 8), f64_bytes(NeuralClassifier::Options{}.learning_rate));
+  ASSERT_EQ(good_.substr(kSlot, 8), f64_bytes(0.0));
+
+  std::string payload = good_.substr(0, good_.size() - 8);  // drop the trailer
+  payload.replace(kSlot, 8, f64_bytes(0.25));
+  const std::string p = path("nonzero_slot.airch");
+  {
+    BinWriter out(p);  // a valid trailer, so only the slot is wrong
+    out.put_bytes(payload.data(), payload.size());
+    out.put_trailer_checksum();
+    out.finish();
+  }
+  const std::string message = load_error(read_file(p));
+  EXPECT_NE(message.find("reserved dropout slot"), std::string::npos) << message;
+}
+
 }  // namespace
 }  // namespace airch

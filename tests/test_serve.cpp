@@ -215,10 +215,11 @@ TEST_F(ServeModel, RaggedBatchThrows) {
 
 TEST_F(ServeModel, ConcurrentQueriesMatchSerial) {
   // The headline concurrency claim: 8 threads hammering ONE warm model
-  // must each see answers bit-identical to the serial baseline. Before
-  // the predict path went const, DenseLayer/ReluLayer/EmbeddingBag scratch
-  // state was shared across callers and this raced (TSan caught it; this
-  // file carries the tsan label so it still would).
+  // must each see answers bit-identical to the serial baseline. Layers
+  // hold parameters only and the one forward pass (infer_logits) keeps its
+  // activations on the caller's stack; when layers kept per-call scratch
+  // for backward, this raced (TSan caught it; this file carries the tsan
+  // label so it still would).
   const auto queries = make_queries(64, 11);
   const auto serial_batch = rec_->recommend_batch(queries);
   std::vector<std::vector<std::int32_t>> serial_topk;

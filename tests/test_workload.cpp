@@ -212,5 +212,51 @@ TEST(Log2Histogram, IgnoresNonPositive) {
   EXPECT_EQ(total, 1);
 }
 
+// Transformer extensions of the model zoo.
+TEST(TransformerZoo, BlocksLowerToValidGemms) {
+  for (const auto& net : transformer_zoo()) {
+    const auto gemms = net.gemms();
+    EXPECT_GE(gemms.size(), 24u) << net.name;  // 4 blocks x 6 GEMMs
+    for (const auto& g : gemms) EXPECT_TRUE(g.valid()) << net.name;
+  }
+}
+
+TEST(TransformerZoo, AttentionShapesAreSeqDependent) {
+  const auto net = make_bert_base(128);
+  bool found_scores = false;
+  const auto names = net.layer_names();
+  const auto gemms = net.gemms();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (names[i].find("attn_scores") != std::string::npos) {
+      found_scores = true;
+      EXPECT_EQ(gemms[i].m, 128);  // seq
+      EXPECT_EQ(gemms[i].n, 128);  // seq
+      EXPECT_EQ(gemms[i].k, 64);   // d_head = 768 / 12
+    }
+  }
+  EXPECT_TRUE(found_scores);
+}
+
+TEST(TransformerZoo, SeqLenScalesAttention) {
+  const auto short_seq = make_bert_base(64).gemms();
+  const auto long_seq = make_bert_base(512).gemms();
+  MacCount short_macs, long_macs;
+  for (const auto& g : short_seq) short_macs += g.macs();
+  for (const auto& g : long_seq) long_macs += g.macs();
+  EXPECT_GT(long_macs, 4 * short_macs);  // superlinear due to attention
+}
+
+TEST(TransformerZoo, FfnIsWidest) {
+  const auto net = make_gpt2_small();
+  const auto names = net.layer_names();
+  const auto gemms = net.gemms();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (names[i].find("ffn_up") != std::string::npos) {
+      EXPECT_EQ(gemms[i].n, 3072);
+      EXPECT_EQ(gemms[i].k, 768);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace airch

@@ -13,12 +13,12 @@
 # cached and naive labels are identical before reporting, and (because
 # --snapshot-points/--writer-points default to --points) exercises a real
 # sweep-cache snapshot save→load→warm-regenerate and a binary dataset
-# write→read round trip per run — and of bench_train_throughput — which
-# asserts the naive and fast kernel paths produce bit-identical loss
-# trajectories — and validates the emitted JSON against the shared schema
-# gate (tools/validate_bench.py, also invoked by CI so the two can't
-# drift), which requires the snapshot section to report
-# labels_bit_identical for all three cases.
+# write→read round trip per run — and validates the emitted JSON against
+# the shared schema gate (tools/validate_bench.py, also invoked by CI so
+# the two can't drift), which requires the snapshot section to report
+# labels_bit_identical for all three cases. (The naive-vs-fast training
+# trajectory contract is a tier-1 test: TrainingTrajectory in
+# tests/test_models.cpp.)
 #
 # The `serve` stage (in the default set; shares the default stage's build
 # tree) smokes the batched recommender service end to end: bench_serve
@@ -103,23 +103,13 @@ for stage in "${STAGES[@]}"; do
       run cmake --build build-checked -j "$JOBS" --target bench_dataset_throughput
       run ./build-checked/bench/bench_dataset_throughput \
         --points=300 --reps=1 --out=build-checked/BENCH_dataset_smoke.json >/dev/null
-      run cmake --build build-checked -j "$JOBS" --target bench_train_throughput
-      run ./build-checked/bench/bench_train_throughput \
-        --points=400 --epochs=1 --reps=1 --infer-queries=64 \
-        --out=build-checked/BENCH_train_smoke.json >/dev/null
       if command -v python3 >/dev/null 2>&1; then
-        # Each validator is checked individually so a schema failure names
-        # the offending JSON instead of dying as an anonymous set -e exit.
-        for spec in \
-          "dataset build-checked/BENCH_dataset_smoke.json" \
-          "train build-checked/BENCH_train_smoke.json --expect-infer-queries=64"
-        do
-          # shellcheck disable=SC2086  # word-splitting the spec is the point
-          if ! run python3 tools/validate_bench.py $spec; then
-            echo "check.sh: bench JSON schema validation FAILED for: $spec" >&2
-            exit 1
-          fi
-        done
+        # Checked explicitly so a schema failure names the offending JSON
+        # instead of dying as an anonymous set -e exit.
+        if ! run python3 tools/validate_bench.py dataset build-checked/BENCH_dataset_smoke.json; then
+          echo "check.sh: bench JSON schema validation FAILED for: build-checked/BENCH_dataset_smoke.json" >&2
+          exit 1
+        fi
       else
         skip_or_fail python3 "bench JSON schema validation"
       fi

@@ -31,12 +31,7 @@ int main(int argc, char** argv) {
   args.flag_str("out", "", "output dataset path");
   args.flag_str("mode", "auto", "auto (by --out extension), to-binary, to-csv");
   args.flag_i64("classes", 0, "output-space size, required for to-binary", 0, 1 << 30);
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "convert_dataset: " << e.what() << "\n";
-    return 1;
-  }
+  args.parse(argc, argv);
 
   const std::string in = args.str("in");
   const std::string out = args.str("out");

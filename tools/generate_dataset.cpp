@@ -66,12 +66,7 @@ int main(int argc, char** argv) {
   args.flag_i64("threads", 0, "labelling worker threads (0 = hardware default)", 0, 1024);
   args.flag_i64("shards", 1, "generate in this many contiguous shards, then merge", 1, 256);
   args.flag_str("snapshot", "", "labelling-cache snapshot path (load before, save after)");
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "generate_dataset: " << e.what() << "\n";
-    return 1;
-  }
+  args.parse(argc, argv);
 
   const std::string format = args.str("format");
   if (format != "auto" && format != "csv" && format != "binary") {

@@ -70,12 +70,7 @@ int main(int argc, char** argv) {
   // (case 3's 1944 schedules); recommend_topk re-checks against the
   // actual study so the CLI bound only has to be a sane global cap.
   args.flag_i64("topk", 1, "print the k most likely configurations", 1, 1944);
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "query_recommender: " << e.what() << "\n";
-    return 1;
-  }
+  args.parse(argc, argv);
 
   const auto case_num = args.i64("case");
   if (case_num < 1 || case_num > 3) {

@@ -8,7 +8,6 @@ regressions are judged by a human against the committed BENCH_*.json.
 
 Usage:
     validate_bench.py dataset <BENCH_dataset*.json>
-    validate_bench.py train   <BENCH_train*.json> [--expect-infer-queries=N]
     validate_bench.py serve   <BENCH_serve*.json> [--min-levels=N]
 
 Exit status 0 iff the file parses and every schema invariant holds.
@@ -64,21 +63,6 @@ def validate_dataset(d):
     require(writer.get("speedup", 0) > 0, "writer.speedup must be positive")
 
 
-def validate_train(d, expect_infer_queries):
-    require(d.get("bench") == "train_throughput", "bench != train_throughput")
-    # The bench itself compares the naive and fast kernel loss trajectories
-    # float-for-float; a report with this flag unset must never be waved
-    # through even if it otherwise parses.
-    require(d.get("trajectory_bit_identical") is True, "trajectory_bit_identical is not True")
-    require(len(d.get("results", [])) == 2, "expected 2 results (naive/fast)")
-    require(d.get("train_speedup", 0) > 0, "train_speedup must be positive")
-    infer = d.get("infer", {})
-    require(infer.get("batched_us_per_query", 0) > 0, "infer.batched_us_per_query must be positive")
-    if expect_infer_queries is not None:
-        require(infer.get("queries") == expect_infer_queries,
-                f"infer.queries != {expect_infer_queries}")
-
-
 def validate_serve(d, min_levels):
     require(d.get("bench") == "serve", "bench != serve")
     require(d.get("mode") in ("closed", "open"), "mode must be closed or open")
@@ -123,15 +107,12 @@ def validate_serve(d, min_levels):
 def main(argv):
     args = [a for a in argv[1:] if not a.startswith("--")]
     flags = [a for a in argv[1:] if a.startswith("--")]
-    if len(args) != 2 or args[0] not in ("dataset", "train", "serve"):
+    if len(args) != 2 or args[0] not in ("dataset", "serve"):
         print(__doc__, file=sys.stderr)
         return 2
-    expect_infer_queries = None
     min_levels = 3
     for flag in flags:
-        if flag.startswith("--expect-infer-queries="):
-            expect_infer_queries = int(flag.split("=", 1)[1])
-        elif flag.startswith("--min-levels="):
+        if flag.startswith("--min-levels="):
             min_levels = int(flag.split("=", 1)[1])
         else:
             print(__doc__, file=sys.stderr)
@@ -145,8 +126,6 @@ def main(argv):
 
     if args[0] == "dataset":
         validate_dataset(d)
-    elif args[0] == "train":
-        validate_train(d, expect_infer_queries)
     else:
         validate_serve(d, min_levels)
     print(f"validate_bench: {args[1]} ok ({args[0]} schema)")
