@@ -1,19 +1,23 @@
-// Three optimizer families on the same queries (the landscape the paper's
+// The optimizer families on the same queries (the landscape the paper's
 // related-work section draws): exhaustive simulate-and-search, ML-guided
-// search (genetic algorithm, the GAMMA/ConfuciuX family), and AIrchitect's
-// constant-time learned inference. Reports solution quality (normalized to
-// the exhaustive optimum) and cost-model evaluations per query.
+// search (genetic algorithm, REINFORCE, simulated annealing — the
+// GAMMA/ConfuciuX family), and AIrchitect's constant-time learned
+// inference. Reports solution quality (normalized to the exhaustive
+// optimum) and cost-model evaluations per query. The search families run
+// through one shared loop over each case study's SearchEnv.
 //
-// Expected shape: exhaustive = 1.0 quality at full evaluation cost; GA
+// Expected shape: exhaustive = 1.0 quality at full evaluation cost; search
 // near-1.0 at a fraction of the evaluations; AIrchitect near-1.0 at ZERO
 // per-query evaluations (after one-off offline training).
 
+#include <functional>
 #include <iostream>
 
 #include "common/cli.hpp"
 #include "common/math_utils.hpp"
 #include "common/table.hpp"
 #include "core/recommender.hpp"
+#include "dataset/generator.hpp"
 #include "search/annealing.hpp"
 #include "search/genetic.hpp"
 #include "search/reinforce.hpp"
@@ -21,8 +25,63 @@
 
 using namespace airch;
 
+namespace {
+
+struct Family {
+  const char* name;
+  std::function<SearchResult(const SearchEnv&, std::uint64_t seed)> run;
+};
+
+const Family kFamilies[] = {
+    {"genetic algorithm",
+     [](const SearchEnv& env, std::uint64_t seed) {
+       GaOptions o;
+       o.seed = seed;
+       return genetic_search(env, o);
+     }},
+    {"REINFORCE",
+     [](const SearchEnv& env, std::uint64_t seed) {
+       ReinforceOptions o;
+       o.seed = seed;
+       return reinforce_search(env, o);
+     }},
+    {"simulated annealing",
+     [](const SearchEnv& env, std::uint64_t seed) {
+       AnnealingOptions o;
+       o.steps = 100;
+       o.seed = seed;
+       return annealing_search(env, o);
+     }},
+};
+
+/// One design query: its env and the exhaustive search's optimal label.
+struct Query {
+  SearchEnv env;
+  int optimum;
+};
+
+/// Adds one row per search family: geomean of optimum cost / found cost,
+/// and evaluations per query. Query q runs at seed + q.
+void add_search_rows(AsciiTable& t, const std::vector<Query>& queries, std::uint64_t seed) {
+  for (const Family& family : kFamilies) {
+    std::vector<double> quality;
+    std::size_t evals = 0;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      std::size_t unused = 0;
+      const Cycles opt = queries[q].env.cost(queries[q].optimum, unused);
+      const SearchResult r = family.run(queries[q].env, seed + q);
+      evals += r.evaluations;
+      quality.push_back(opt / r.cost);
+    }
+    t.add_row({family.name, AsciiTable::fmt(geomean(quality), 3),
+               std::to_string(evals / queries.size())});
+  }
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  ArgParser args("bench_optimizer_comparison", "exhaustive vs GA vs learned inference");
+  ArgParser args("bench_optimizer_comparison", "exhaustive vs search vs learned inference");
   args.flag_i64("queries", 200, "number of fresh design queries");
   args.flag_i64("points", 40000, "AIrchitect offline training dataset size");
   args.flag_i64("epochs", 10, "AIrchitect training epochs");
@@ -30,15 +89,13 @@ int main(int argc, char** argv) {
   args.parse(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.i64("seed"));
   const auto queries = static_cast<std::size_t>(args.i64("queries"));
+  const std::size_t small_queries = std::min<std::size_t>(queries, 100);
 
   // --------------------------------------------------------- case 1
   {
     std::cout << "=== Case study 1: array shape + dataflow (budget 2^10) ===\n";
     ArrayDataflowStudy study;
     const ArrayDataflowSearch exhaustive(study.space(), study.simulator());
-    const GaArrayDataflowSearch ga(study.space(), study.simulator());
-    const ReinforceArrayDataflowSearch rl(study.space(), study.simulator());
-    const AnnealingArrayDataflowSearch sa(study.space(), study.simulator());
 
     Recommender::TrainOptions topts;
     topts.dataset_size = static_cast<std::size_t>(args.i64("points"));
@@ -49,31 +106,12 @@ int main(int argc, char** argv) {
 
     Rng rng(seed);
     const LogUniformGemmSampler sampler;
-    std::vector<double> ga_quality, rl_quality, sa_quality, ml_quality, topk_quality;
-    std::size_t ga_evals = 0, rl_evals = 0, sa_evals = 0;
-    const std::size_t exhaustive_evals = study.space().labels_within_budget(10).size();
+    std::vector<Query> envs;
+    std::vector<double> ml_quality, topk_quality;
     for (std::size_t q = 0; q < queries; ++q) {
       const GemmWorkload w = sampler.sample(rng);
       const auto opt = exhaustive.best(w, 10);
-
-      GaOptions gopts;
-      gopts.seed = seed + q;
-      const auto g = ga.best(w, 10, gopts);
-      ga_evals += g.evaluations;
-      ga_quality.push_back(opt.cycles / g.cycles);
-
-      ReinforceOptions ropts;
-      ropts.seed = seed + q;
-      const auto r = rl.best(w, 10, ropts);
-      rl_evals += r.evaluations;
-      rl_quality.push_back(opt.cycles / r.cycles);
-
-      AnnealingOptions sopts;
-      sopts.steps = 100;
-      sopts.seed = seed + q;
-      const auto s = sa.best(w, 10, sopts);
-      sa_evals += s.evaluations;
-      sa_quality.push_back(opt.cycles / s.cycles);
+      envs.push_back({array_dataflow_env(study.space(), study.simulator(), w, 10), opt.label});
 
       const ArrayConfig pred = rec.recommend_array(w, 10);
       Cycles pred_cycles = study.simulator().compute_cycles(w, pred);
@@ -94,15 +132,34 @@ int main(int argc, char** argv) {
     }
 
     AsciiTable t({"optimizer", "geomean quality", "evals/query"});
-    t.add_row({"exhaustive search", "1.000", std::to_string(exhaustive_evals)});
-    t.add_row({"genetic algorithm", AsciiTable::fmt(geomean(ga_quality), 3),
-               std::to_string(ga_evals / queries)});
-    t.add_row({"REINFORCE", AsciiTable::fmt(geomean(rl_quality), 3),
-               std::to_string(rl_evals / queries)});
-    t.add_row({"simulated annealing", AsciiTable::fmt(geomean(sa_quality), 3),
-               std::to_string(sa_evals / queries)});
+    t.add_row({"exhaustive search", "1.000",
+               std::to_string(study.space().labels_within_budget(10).size())});
+    add_search_rows(t, envs, seed);
     t.add_row({"AIrchitect (top-1)", AsciiTable::fmt(geomean(ml_quality), 3), "0"});
     t.add_row({"AIrchitect (top-5 + rerank)", AsciiTable::fmt(geomean(topk_quality), 3), "5"});
+    t.print(std::cout);
+    std::cout << '\n';
+  }
+
+  // --------------------------------------------------------- case 2
+  {
+    std::cout << "=== Case study 2: buffer sizing (runtime = compute + stalls) ===\n";
+    BufferSizingStudy study;
+    // Queries and their optimal labels are the dataset generator's.
+    const Dataset data =
+        generate_case2(small_queries, study.space(), study.simulator(), Case2Config{}, seed);
+    std::vector<Query> envs;
+    std::size_t exhaustive_evals = 0;
+    for (const DataPoint& point : data.points()) {
+      const Case2Features f = decode_case2(point.features);
+      envs.push_back(
+          {buffer_env(study.space(), f.workload, f.array, f.bandwidth, f.limit_kb), point.label});
+      exhaustive_evals += study.space().labels_within_total(f.limit_kb).size();
+    }
+
+    AsciiTable t({"optimizer", "geomean quality", "evals/query"});
+    t.add_row({"exhaustive search", "1.000", std::to_string(exhaustive_evals / data.size())});
+    add_search_rows(t, envs, seed);
     t.print(std::cout);
     std::cout << '\n';
   }
@@ -112,7 +169,6 @@ int main(int argc, char** argv) {
     std::cout << "=== Case study 3: multi-array scheduling ===\n";
     SchedulingStudy study;
     const auto& exhaustive = study.search();
-    const GaScheduleSearch ga(study.space(), exhaustive.arrays(), study.simulator());
 
     Recommender::TrainOptions topts;
     topts.dataset_size = static_cast<std::size_t>(args.i64("points")) / 5;
@@ -123,18 +179,12 @@ int main(int argc, char** argv) {
 
     Rng rng(seed + 1);
     const LogUniformGemmSampler sampler;
-    std::vector<double> ga_quality, ml_quality;
-    std::size_t ga_evals = 0;
-    const std::size_t sched_queries = std::min<std::size_t>(queries, 100);
-    for (std::size_t q = 0; q < sched_queries; ++q) {
+    std::vector<Query> envs;
+    std::vector<double> ml_quality;
+    for (std::size_t q = 0; q < small_queries; ++q) {
       const auto workloads = sampler.sample_many(rng, 4);
       const auto opt = exhaustive.best(workloads);
-
-      GaOptions gopts;
-      gopts.seed = seed + q;
-      const auto g = ga.best(workloads, gopts);
-      ga_evals += g.evaluations;
-      ga_quality.push_back(opt.makespan_cycles / g.makespan_cycles);
+      envs.push_back({schedule_env(exhaustive, workloads), opt.label});
 
       const auto sched = rec.recommend_schedule(workloads);
       const auto pred = exhaustive.evaluate(workloads, study.space().label_of(sched));
@@ -143,8 +193,7 @@ int main(int argc, char** argv) {
 
     AsciiTable t({"optimizer", "geomean quality", "evals/query"});
     t.add_row({"exhaustive search", "1.000", std::to_string(study.space().size())});
-    t.add_row({"genetic algorithm", AsciiTable::fmt(geomean(ga_quality), 3),
-               std::to_string(ga_evals / sched_queries)});
+    add_search_rows(t, envs, seed);
     t.add_row({"AIrchitect (top-1)", AsciiTable::fmt(geomean(ml_quality), 3), "0"});
     t.print(std::cout);
   }

@@ -2,72 +2,44 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-
-#include "common/math_utils.hpp"
+#include <utility>
 
 namespace airch {
 
-AnnealingArrayDataflowSearch::Result AnnealingArrayDataflowSearch::best(
-    const GemmWorkload& w, int budget_exp, const AnnealingOptions& options) const {
-  const int min_exp = 1;
-  const int max_total = std::min(budget_exp, space_->max_macs_exp());
-
+SearchResult annealing_search(const SearchEnv& env, const AnnealingOptions& options) {
   Rng rng(options.seed);
+  SearchResult result;
+  SearchEnv::Point cur = env.random_point(rng);
+  int cur_label = env.label_of(cur);
+  Cycles cur_cost = env.cost(cur_label, result.evaluations);
+  result.label = cur_label;
+  result.cost = cur_cost;
 
-  struct State {
-    int row_exp, col_exp, dataflow;
-  };
-  auto clamp_state = [&](State& s) {
-    s.row_exp = static_cast<int>(clamp_i64(s.row_exp, min_exp, max_total - min_exp));
-    s.col_exp = static_cast<int>(clamp_i64(s.col_exp, min_exp, max_total - s.row_exp));
-  };
-  auto to_config = [&](const State& s) {
-    return ArrayConfig{pow2(s.row_exp), pow2(s.col_exp), dataflow_from_index(s.dataflow)};
-  };
-
-  State cur;
-  cur.row_exp = static_cast<int>(rng.uniform_int(min_exp, max_total - min_exp));
-  cur.col_exp = static_cast<int>(rng.uniform_int(min_exp, max_total - cur.row_exp));
-  cur.dataflow = static_cast<int>(rng.uniform_int(0, 2));
-
-  Result result;
-  auto evaluate = [&](const State& s) {
-    ++result.evaluations;
-    return sim_->compute_cycles(w, to_config(s));
-  };
-
-  Cycles cur_cost = evaluate(cur);
-  result.label = space_->label_of(to_config(cur));
-  result.cycles = cur_cost;
-
+  const auto jump = static_cast<std::int64_t>(env.num_digits());
   double temperature = options.initial_temperature;
   for (int step = 0; step < options.steps; ++step) {
-    State next = cur;
-    switch (rng.uniform_int(0, 3)) {
-      case 0: next.row_exp += rng.uniform() < 0.5 ? 1 : -1; break;
-      case 1: next.col_exp += rng.uniform() < 0.5 ? 1 : -1; break;
-      case 2: next.dataflow = static_cast<int>(rng.uniform_int(0, 2)); break;
-      default:
-        // Occasional random jump: escapes basins the local moves cannot.
-        next.row_exp = static_cast<int>(rng.uniform_int(min_exp, max_total - min_exp));
-        next.col_exp = static_cast<int>(rng.uniform_int(min_exp, max_total - next.row_exp));
-        next.dataflow = static_cast<int>(rng.uniform_int(0, 2));
-        break;
+    SearchEnv::Point next = cur;
+    const std::int64_t d = rng.uniform_int(0, jump);
+    if (d == jump) {
+      // Occasional random jump: escapes basins the local moves cannot.
+      next = env.random_point(rng);
+    } else {
+      env.move(next, static_cast<std::size_t>(d), rng);
     }
-    clamp_state(next);
-    const Cycles next_cost = evaluate(next);
+    const int next_label = env.label_of(next);
+    const Cycles next_cost = env.cost(next_label, result.evaluations);
 
     // Metropolis acceptance on relative cost difference; the dimensionless
     // ratio comes straight from the same-tag Quantity division.
     const double delta = (next_cost - cur_cost) / cur_cost;
     if (delta <= 0.0 || rng.uniform() < std::exp(-delta / std::max(temperature, 1e-9))) {
-      cur = next;
+      cur = std::move(next);
+      cur_label = next_label;
       cur_cost = next_cost;
     }
-    if (cur_cost < result.cycles) {
-      result.cycles = cur_cost;
-      result.label = space_->label_of(to_config(cur));
+    if (cur_cost < result.cost) {
+      result.cost = cur_cost;
+      result.label = cur_label;
     }
     temperature *= options.cooling;
   }

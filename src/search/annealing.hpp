@@ -1,17 +1,12 @@
 #pragma once
 // Simulated-annealing search baseline — completes the classic search-family
 // trio (exhaustive, GA, RL) the benches compare against learned inference.
-// Standard geometric cooling over the case-1 design space with the same
-// neighbourhood moves as the GA's mutation operator.
+// Standard geometric cooling over a SearchEnv, with the GA's mutation
+// (SearchEnv::move) as the neighbourhood move.
 
-#include <cstddef>
 #include <cstdint>
 
-#include "common/rng.hpp"
-#include "common/units.hpp"
-#include "search/space.hpp"
-#include "sim/simulator.hpp"
-#include "workload/gemm.hpp"
+#include "search/env.hpp"
 
 namespace airch {
 
@@ -22,22 +17,8 @@ struct AnnealingOptions {
   std::uint64_t seed = 1;
 };
 
-class AnnealingArrayDataflowSearch {
- public:
-  AnnealingArrayDataflowSearch(const ArrayDataflowSpace& space, const Simulator& sim)
-      : space_(&space), sim_(&sim) {}
-
-  struct Result {
-    int label = -1;
-    Cycles cycles;
-    std::size_t evaluations = 0;
-  };
-
-  [[nodiscard]] Result best(const GemmWorkload& w, int budget_exp, const AnnealingOptions& options = {}) const;
-
- private:
-  const ArrayDataflowSpace* space_;
-  const Simulator* sim_;
-};
+/// Each step moves one random digit or, with one extra choice among the
+/// digits, jumps to a fresh random point. `evaluations` is steps + 1.
+[[nodiscard]] SearchResult annealing_search(const SearchEnv& env, const AnnealingOptions& options = {});
 
 }  // namespace airch

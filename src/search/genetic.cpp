@@ -1,141 +1,66 @@
 #include "search/genetic.hpp"
 
 #include <algorithm>
-
-#include "common/math_utils.hpp"
+#include <utility>
+#include <vector>
 
 namespace airch {
 
-namespace {
-
-/// Case-1 genome: row exponent, column exponent, dataflow index.
-struct ArrayGenome {
-  int row_exp = 1;
-  int col_exp = 1;
-  int dataflow = 0;
-};
-
-}  // namespace
-
-GaArrayDataflowSearch::Result GaArrayDataflowSearch::best(const GemmWorkload& w, int budget_exp,
-                                                          const GaOptions& options) const {
-  const int min_exp = 1;
-  const int max_total = std::min(budget_exp, space_->max_macs_exp());
-
-  auto clamp_genome = [&](ArrayGenome& g) {
-    g.row_exp = static_cast<int>(clamp_i64(g.row_exp, min_exp, max_total - min_exp));
-    g.col_exp = static_cast<int>(clamp_i64(g.col_exp, min_exp, max_total - g.row_exp));
+SearchResult genetic_search(const SearchEnv& env, const GaOptions& options) {
+  Rng rng(options.seed);
+  SearchResult result;
+  struct Scored {
+    SearchEnv::Point point;
+    int label;
+    Cycles cost;
   };
-  auto to_config = [&](const ArrayGenome& g) {
-    return ArrayConfig{pow2(g.row_exp), pow2(g.col_exp), dataflow_from_index(g.dataflow)};
+  auto score = [&](SearchEnv::Point p) {
+    const int label = env.label_of(p);
+    const Cycles cost = env.cost(label, result.evaluations);
+    return Scored{std::move(p), label, cost};
   };
 
-  GeneticOptimizer<ArrayGenome>::Hooks hooks;
-  hooks.random = [&](Rng& rng) {
-    ArrayGenome g;
-    g.row_exp = static_cast<int>(rng.uniform_int(min_exp, max_total - min_exp));
-    g.col_exp = static_cast<int>(rng.uniform_int(min_exp, max_total - g.row_exp));
-    g.dataflow = static_cast<int>(rng.uniform_int(0, 2));
-    return g;
-  };
-  hooks.crossover = [&](const ArrayGenome& a, const ArrayGenome& b, Rng& rng) {
-    ArrayGenome g;
-    g.row_exp = rng.uniform() < 0.5 ? a.row_exp : b.row_exp;
-    g.col_exp = rng.uniform() < 0.5 ? a.col_exp : b.col_exp;
-    g.dataflow = rng.uniform() < 0.5 ? a.dataflow : b.dataflow;
-    clamp_genome(g);
-    return g;
-  };
-  hooks.mutate = [&](ArrayGenome& g, Rng& rng) {
-    switch (rng.uniform_int(0, 2)) {
-      case 0: g.row_exp += rng.uniform() < 0.5 ? 1 : -1; break;
-      case 1: g.col_exp += rng.uniform() < 0.5 ? 1 : -1; break;
-      default: g.dataflow = static_cast<int>(rng.uniform_int(0, 2)); break;
+  std::vector<Scored> population;
+  population.reserve(static_cast<std::size_t>(options.population));
+  for (int i = 0; i < options.population; ++i) population.push_back(score(env.random_point(rng)));
+  auto by_cost = [](const Scored& a, const Scored& b) { return a.cost < b.cost; };
+  std::sort(population.begin(), population.end(), by_cost);
+
+  auto tournament_pick = [&]() -> const SearchEnv::Point& {
+    auto best = static_cast<std::size_t>(rng.uniform_int(0, options.population - 1));
+    for (int t = 1; t < options.tournament; ++t) {
+      const auto idx = static_cast<std::size_t>(rng.uniform_int(0, options.population - 1));
+      if (population[idx].cost < population[best].cost) best = idx;
     }
-    clamp_genome(g);
-  };
-  hooks.fitness = [&](const ArrayGenome& g) {
-    // GA fitness is a bare maximized double by contract; scalarize here.
-    return -static_cast<double>(sim_->compute_cycles(w, to_config(g)).value());  // airch-lint: allow(value-escape)
+    return population[best].point;
   };
 
-  GeneticOptimizer<ArrayGenome> ga(options, std::move(hooks));
-  const auto r = ga.run();
-  Result out;
-  out.label = space_->label_of(to_config(r.best));
-  out.cycles = Cycles{static_cast<std::int64_t>(-r.fitness)};
-  out.evaluations = r.evaluations;
-  return out;
-}
-
-namespace {
-
-struct ScheduleGenome {
-  ScheduleSpace::Schedule schedule;
-};
-
-}  // namespace
-
-GaScheduleSearch::Result GaScheduleSearch::best(const std::vector<GemmWorkload>& workloads,
-                                                const GaOptions& options) const {
-  const int n = space_->num_arrays();
-
-  GeneticOptimizer<ScheduleGenome>::Hooks hooks;
-  hooks.random = [&](Rng& rng) {
-    ScheduleGenome g;
-    g.schedule.workload_of.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) g.schedule.workload_of[static_cast<std::size_t>(i)] = i;
-    rng.shuffle(g.schedule.workload_of);
-    g.schedule.dataflow_of.resize(static_cast<std::size_t>(n));
-    for (auto& d : g.schedule.dataflow_of) {
-      d = dataflow_from_index(static_cast<int>(rng.uniform_int(0, 2)));
+  const auto last_digit = static_cast<std::int64_t>(env.num_digits()) - 1;
+  for (int gen = 0; gen < options.generations; ++gen) {
+    std::vector<Scored> next;
+    next.reserve(population.size());
+    for (int e = 0; e < options.elite && e < options.population; ++e) {
+      next.push_back(population[static_cast<std::size_t>(e)]);
     }
-    return g;
-  };
-  hooks.crossover = [&](const ScheduleGenome& a, const ScheduleGenome& b, Rng& rng) {
-    // Order crossover for the permutation; uniform for dataflows.
-    ScheduleGenome g;
-    const auto cut = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
-    g.schedule.workload_of.assign(a.schedule.workload_of.begin(),
-                                  a.schedule.workload_of.begin() + static_cast<std::ptrdiff_t>(cut));
-    for (int wl : b.schedule.workload_of) {
-      if (std::find(g.schedule.workload_of.begin(), g.schedule.workload_of.end(), wl) ==
-          g.schedule.workload_of.end()) {
-        g.schedule.workload_of.push_back(wl);
+    while (static_cast<int>(next.size()) < options.population) {
+      // The second parent is drawn first (the draw order SearchEnvGolden pins).
+      const SearchEnv::Point& b = tournament_pick();
+      const SearchEnv::Point& a = tournament_pick();
+      SearchEnv::Point child(env.num_digits());
+      for (std::size_t d = 0; d < child.size(); ++d) child[d] = rng.uniform() < 0.5 ? a[d] : b[d];
+      env.repair(child);
+      if (rng.uniform() < options.mutation_rate) {
+        env.move(child, static_cast<std::size_t>(rng.uniform_int(0, last_digit)), rng);
       }
+      next.push_back(score(std::move(child)));
     }
-    g.schedule.dataflow_of.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      g.schedule.dataflow_of[idx] =
-          rng.uniform() < 0.5 ? a.schedule.dataflow_of[idx] : b.schedule.dataflow_of[idx];
-    }
-    return g;
-  };
-  hooks.mutate = [&](ScheduleGenome& g, Rng& rng) {
-    if (rng.uniform() < 0.5 && n >= 2) {
-      const auto i = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
-      const auto j = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
-      std::swap(g.schedule.workload_of[i], g.schedule.workload_of[j]);
-    } else {
-      const auto i = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
-      g.schedule.dataflow_of[i] = dataflow_from_index(static_cast<int>(rng.uniform_int(0, 2)));
-    }
-  };
-  hooks.fitness = [&](const ScheduleGenome& g) {
-    const int label = space_->label_of(g.schedule);
-    // GA fitness is a bare maximized double by contract; scalarize here.
-    return -static_cast<double>(
-        exhaustive_.evaluate(workloads, label).makespan_cycles.value());  // airch-lint: allow(value-escape)
-  };
+    population = std::move(next);
+    std::sort(population.begin(), population.end(), by_cost);
+  }
 
-  GeneticOptimizer<ScheduleGenome> ga(options, std::move(hooks));
-  const auto r = ga.run();
-  Result out;
-  out.label = space_->label_of(r.best.schedule);
-  out.makespan_cycles = Cycles{static_cast<std::int64_t>(-r.fitness)};
-  out.evaluations = r.evaluations;
-  return out;
+  result.label = population.front().label;
+  result.cost = population.front().cost;
+  return result;
 }
 
 }  // namespace airch

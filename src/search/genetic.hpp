@@ -1,22 +1,14 @@
 #pragma once
 // Genetic-algorithm search baseline. The paper's related work splits
 // learned-DSE approaches into (i) learned cost models and (ii) ML-guided
-// search (GA/RL, e.g. GAMMA). This module implements (ii) for case
-// studies 1 and 3 so the benches can compare three optimizer families:
-// exhaustive search, GA search, and AIrchitect's constant-time inference
-// — in both solution quality and number of cost-model evaluations.
+// search (GA/RL, e.g. GAMMA). This is (ii) over any SearchEnv, so the
+// benches can compare the optimizer families — exhaustive search, GA,
+// REINFORCE, annealing and AIrchitect's constant-time inference — in both
+// solution quality and number of cost-model evaluations.
 
-#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <utility>
-#include <vector>
 
-#include "common/rng.hpp"
-#include "common/units.hpp"
-#include "search/exhaustive.hpp"
-#include "search/space.hpp"
-#include "sim/simulator.hpp"
+#include "search/env.hpp"
 
 namespace airch {
 
@@ -29,124 +21,10 @@ struct GaOptions {
   std::uint64_t seed = 1;
 };
 
-/// Generic steady-state GA over an arbitrary genome type. Fitness is
-/// maximized. Duplicate fitness evaluations are not cached — the
-/// `evaluations` count is exactly the cost-model query count, which is
-/// the metric the search-vs-inference comparison cares about.
-template <typename Genome>
-class GeneticOptimizer {
- public:
-  struct Hooks {
-    std::function<Genome(Rng&)> random;
-    std::function<Genome(const Genome&, const Genome&, Rng&)> crossover;
-    std::function<void(Genome&, Rng&)> mutate;
-    std::function<double(const Genome&)> fitness;
-  };
-
-  struct Result {
-    Genome best{};
-    double fitness = 0.0;
-    std::size_t evaluations = 0;
-  };
-
-  GeneticOptimizer(GaOptions options, Hooks hooks)
-      : options_(options), hooks_(std::move(hooks)) {}
-
-  [[nodiscard]] Result run() {
-    Rng rng(options_.seed);
-    struct Scored {
-      Genome genome;
-      double fitness;
-    };
-    std::vector<Scored> population;
-    Result result;
-    population.reserve(static_cast<std::size_t>(options_.population));
-    for (int i = 0; i < options_.population; ++i) {
-      Genome g = hooks_.random(rng);
-      const double f = hooks_.fitness(g);
-      ++result.evaluations;
-      population.push_back({std::move(g), f});
-    }
-
-    auto by_fitness = [](const Scored& a, const Scored& b) { return a.fitness > b.fitness; };
-    std::sort(population.begin(), population.end(), by_fitness);
-
-    auto tournament_pick = [&]() -> const Scored& {
-      std::size_t best = static_cast<std::size_t>(
-          rng.uniform_int(0, options_.population - 1));
-      for (int t = 1; t < options_.tournament; ++t) {
-        const auto idx = static_cast<std::size_t>(rng.uniform_int(0, options_.population - 1));
-        if (population[idx].fitness > population[best].fitness) best = idx;
-      }
-      return population[best];
-    };
-
-    for (int gen = 0; gen < options_.generations; ++gen) {
-      std::vector<Scored> next;
-      next.reserve(population.size());
-      for (int e = 0; e < options_.elite && e < options_.population; ++e) {
-        next.push_back(population[static_cast<std::size_t>(e)]);
-      }
-      while (static_cast<int>(next.size()) < options_.population) {
-        Genome child = hooks_.crossover(tournament_pick().genome, tournament_pick().genome, rng);
-        if (rng.uniform() < options_.mutation_rate) hooks_.mutate(child, rng);
-        const double f = hooks_.fitness(child);
-        ++result.evaluations;
-        next.push_back({std::move(child), f});
-      }
-      population = std::move(next);
-      std::sort(population.begin(), population.end(), by_fitness);
-    }
-
-    result.best = population.front().genome;
-    result.fitness = population.front().fitness;
-    return result;
-  }
-
- private:
-  GaOptions options_;
-  Hooks hooks_;
-};
-
-/// GA over case study 1's design space (array shape + dataflow under a
-/// MAC budget), minimizing stall-free runtime.
-class GaArrayDataflowSearch {
- public:
-  GaArrayDataflowSearch(const ArrayDataflowSpace& space, const Simulator& sim)
-      : space_(&space), sim_(&sim) {}
-
-  struct Result {
-    int label = -1;
-    Cycles cycles;
-    std::size_t evaluations = 0;
-  };
-
-  [[nodiscard]] Result best(const GemmWorkload& w, int budget_exp, const GaOptions& options = {}) const;
-
- private:
-  const ArrayDataflowSpace* space_;
-  const Simulator* sim_;
-};
-
-/// GA over case study 3's schedule space (permutation + per-array
-/// dataflow), minimizing makespan with an energy tie-break.
-class GaScheduleSearch {
- public:
-  GaScheduleSearch(const ScheduleSpace& space, std::vector<ScheduledArray> arrays,
-                   const Simulator& sim)
-      : exhaustive_(space, std::move(arrays), sim), space_(&space) {}
-
-  struct Result {
-    int label = -1;
-    Cycles makespan_cycles;
-    std::size_t evaluations = 0;
-  };
-
-  [[nodiscard]] Result best(const std::vector<GemmWorkload>& workloads, const GaOptions& options = {}) const;
-
- private:
-  ScheduleSearch exhaustive_;  // reused for single-label evaluation
-  const ScheduleSpace* space_;
-};
+/// Steady-state GA: tournament selection, uniform crossover per digit
+/// (then repair), and SearchEnv::move on a random digit as the mutation.
+/// Duplicate points are not cached, so `evaluations` is exactly the
+/// cost-model query count, population + generations * (population - elite).
+[[nodiscard]] SearchResult genetic_search(const SearchEnv& env, const GaOptions& options = {});
 
 }  // namespace airch

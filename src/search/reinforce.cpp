@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-
-#include "common/math_utils.hpp"
+#include <vector>
 
 namespace airch {
 
@@ -44,71 +43,51 @@ void add_logprob_grad(std::vector<double>& grad, const std::vector<double>& logi
 
 }  // namespace
 
-ReinforceArrayDataflowSearch::Result ReinforceArrayDataflowSearch::best(
-    const GemmWorkload& w, int budget_exp, const ReinforceOptions& options) const {
-  const int min_exp = 1;
-  const int max_total = std::min(budget_exp, space_->max_macs_exp());
-  const auto row_choices = static_cast<std::size_t>(max_total - 2 * min_exp + 1);
+SearchResult reinforce_search(const SearchEnv& env, const ReinforceOptions& options) {
+  const std::size_t digits = env.num_digits();
+  SearchEnv::Point lows(digits);
+  for (std::size_t d = 0; d < digits; ++d) lows[d] = env.digit(d).lo;
+  // Each digit's logits span the widest range it can take.
+  std::vector<std::vector<double>> logits(digits);
+  for (std::size_t d = 0; d < digits; ++d) {
+    logits[d].assign(static_cast<std::size_t>(env.hi(d, lows) - lows[d] + 1), 0.0);
+  }
 
   Rng rng(options.seed);
-  std::vector<double> row_logits(row_choices, 0.0);
-  // Column logits span the widest possible range; invalid picks given the
-  // sampled row are clamped into budget (a "repair" operator).
-  std::vector<double> col_logits(row_choices, 0.0);
-  std::vector<double> df_logits(3, 0.0);
-
-  Result best{-1, Cycles{std::numeric_limits<std::int64_t>::max()}, 0};
-
+  SearchResult best{-1, Cycles{std::numeric_limits<std::int64_t>::max()}, 0};
+  const auto batch = static_cast<std::size_t>(options.batch);
+  std::vector<std::size_t> picks(batch * digits);  // sample-major
+  std::vector<double> rewards(batch);
   for (int iter = 0; iter < options.iterations; ++iter) {
-    struct Sample {
-      std::size_t row_idx, col_idx, df_idx;
-      double reward;
-    };
-    std::vector<Sample> samples;
-    samples.reserve(static_cast<std::size_t>(options.batch));
-
-    for (int b = 0; b < options.batch; ++b) {
-      Sample s;
-      s.row_idx = sample_categorical(row_logits, rng);
-      s.col_idx = sample_categorical(col_logits, rng);
-      s.df_idx = sample_categorical(df_logits, rng);
-
-      const int row_exp = min_exp + static_cast<int>(s.row_idx);
-      int col_exp = min_exp + static_cast<int>(s.col_idx);
-      col_exp = static_cast<int>(clamp_i64(col_exp, min_exp, max_total - row_exp));
-
-      const ArrayConfig cfg{pow2(row_exp), pow2(col_exp),
-                            dataflow_from_index(static_cast<int>(s.df_idx))};
-      const Cycles cycles = sim_->compute_cycles(w, cfg);
-      ++best.evaluations;
-      if (cycles < best.cycles) {
-        best.cycles = cycles;
-        best.label = space_->label_of(cfg);
+    for (std::size_t b = 0; b < batch; ++b) {
+      SearchEnv::Point p(digits);
+      for (std::size_t d = 0; d < digits; ++d) {
+        picks[b * digits + d] = sample_categorical(logits[d], rng);
+        p[d] = lows[d] + static_cast<int>(picks[b * digits + d]);
       }
-      // Reward: negative log-cycles (scale-free across workload sizes);
-      // the RL reward is dimensionless by construction.
-      s.reward = -std::log(static_cast<double>(cycles.value()));  // airch-lint: allow(value-escape)
-      samples.push_back(s);
+      env.repair(p);
+      const int label = env.label_of(p);
+      const Cycles cost = env.cost(label, best.evaluations);
+      if (cost < best.cost) {
+        best.label = label;
+        best.cost = cost;
+      }
+      // Negative log-cost: scale-free across workload sizes.
+      rewards[b] = -std::log(cost / Cycles{1});
     }
 
     // Advantage = reward - batch mean; one policy-gradient step.
     double mean_reward = 0.0;
-    for (const auto& s : samples) mean_reward += s.reward;
-    mean_reward /= static_cast<double>(samples.size());
-
-    std::vector<double> row_grad(row_logits.size(), 0.0);
-    std::vector<double> col_grad(col_logits.size(), 0.0);
-    std::vector<double> df_grad(df_logits.size(), 0.0);
-    for (const auto& s : samples) {
-      const double adv = s.reward - mean_reward;
-      add_logprob_grad(row_grad, row_logits, s.row_idx, adv);
-      add_logprob_grad(col_grad, col_logits, s.col_idx, adv);
-      add_logprob_grad(df_grad, df_logits, s.df_idx, adv);
+    for (double r : rewards) mean_reward += r;
+    mean_reward /= static_cast<double>(batch);
+    const double step = options.learning_rate / static_cast<double>(batch);
+    for (std::size_t d = 0; d < digits; ++d) {
+      std::vector<double> grad(logits[d].size(), 0.0);
+      for (std::size_t b = 0; b < batch; ++b) {
+        add_logprob_grad(grad, logits[d], picks[b * digits + d], rewards[b] - mean_reward);
+      }
+      for (std::size_t i = 0; i < grad.size(); ++i) logits[d][i] += step * grad[i];
     }
-    const double step = options.learning_rate / static_cast<double>(samples.size());
-    for (std::size_t i = 0; i < row_logits.size(); ++i) row_logits[i] += step * row_grad[i];
-    for (std::size_t i = 0; i < col_logits.size(); ++i) col_logits[i] += step * col_grad[i];
-    for (std::size_t i = 0; i < df_logits.size(); ++i) df_logits[i] += step * df_grad[i];
   }
   return best;
 }

@@ -1,21 +1,14 @@
 #pragma once
 // Policy-gradient (REINFORCE) search baseline — the RL-guided DSE family
 // the paper cites (ConfuciuX, Apollo). For one query, a factored
-// categorical policy over (row exponent, column exponent, dataflow) is
-// optimized by sampling configurations, scoring them with the cost model,
-// and ascending the advantage-weighted log-likelihood. Like the GA, its
-// per-query cost is the number of cost-model evaluations; the benches
-// compare it against exhaustive search, GA, and learned inference.
+// categorical policy over a SearchEnv's digits is optimized by sampling
+// points, scoring them with the cost model, and ascending the
+// advantage-weighted log-likelihood. Like the GA, its per-query cost is
+// the number of cost-model evaluations.
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "common/rng.hpp"
-#include "common/units.hpp"
-#include "search/space.hpp"
-#include "sim/simulator.hpp"
-#include "workload/gemm.hpp"
+#include "search/env.hpp"
 
 namespace airch {
 
@@ -26,22 +19,10 @@ struct ReinforceOptions {
   std::uint64_t seed = 1;
 };
 
-class ReinforceArrayDataflowSearch {
- public:
-  ReinforceArrayDataflowSearch(const ArrayDataflowSpace& space, const Simulator& sim)
-      : space_(&space), sim_(&sim) {}
-
-  struct Result {
-    int label = -1;
-    Cycles cycles;
-    std::size_t evaluations = 0;
-  };
-
-  [[nodiscard]] Result best(const GemmWorkload& w, int budget_exp, const ReinforceOptions& options = {}) const;
-
- private:
-  const ArrayDataflowSpace* space_;
-  const Simulator* sim_;
-};
+/// One categorical per digit d over [lo, hi(d, lower bounds)]; a sample
+/// that the earlier digits rule out is repaired into the constraint.
+/// The reward is -log(cost), so the cost must stay above zero.
+/// `evaluations` is iterations * batch.
+[[nodiscard]] SearchResult reinforce_search(const SearchEnv& env, const ReinforceOptions& options = {});
 
 }  // namespace airch

@@ -11,11 +11,13 @@ namespace {
 
 class AnnealingTest : public ::testing::Test {
  protected:
-  AnnealingTest() : space_(12), exhaustive_(space_, sim_), sa_(space_, sim_) {}
+  AnnealingTest() : space_(12), exhaustive_(space_, sim_) {}
+  SearchResult sa(const GemmWorkload& w, int budget_exp, const AnnealingOptions& options = {}) const {
+    return annealing_search(array_dataflow_env(space_, sim_, w, budget_exp), options);
+  }
   Simulator sim_;
   ArrayDataflowSpace space_;
   ArrayDataflowSearch exhaustive_;
-  AnnealingArrayDataflowSearch sa_;
 };
 
 TEST_F(AnnealingTest, FindsNearOptimalSolutions) {
@@ -26,9 +28,9 @@ TEST_F(AnnealingTest, FindsNearOptimalSolutions) {
     const auto opt = exhaustive_.best(w, 12);
     AnnealingOptions options;
     options.seed = static_cast<std::uint64_t>(trial) + 1;
-    const auto sa = sa_.best(w, 12, options);
-    EXPECT_LE(sa.cycles / opt.cycles, 1.25) << w.to_string();
-    EXPECT_GE(sa.cycles, opt.cycles);
+    const auto r = sa(w, 12, options);
+    EXPECT_LE(r.cost / opt.cycles, 1.25) << w.to_string();
+    EXPECT_GE(r.cost, opt.cycles);
   }
 }
 
@@ -36,7 +38,7 @@ TEST_F(AnnealingTest, RespectsBudget) {
   Rng rng(5);
   LogUniformGemmSampler sampler;
   for (int budget = 4; budget <= 12; budget += 2) {
-    const auto r = sa_.best(sampler.sample(rng), budget);
+    const auto r = sa(sampler.sample(rng), budget);
     EXPECT_LE(space_.config(r.label).macs(), MacCount{pow2(budget)});
   }
 }
@@ -45,22 +47,22 @@ TEST_F(AnnealingTest, DeterministicForSeed) {
   const GemmWorkload w{321, 654, 987};
   AnnealingOptions options;
   options.seed = 9;
-  const auto a = sa_.best(w, 10, options);
-  const auto b = sa_.best(w, 10, options);
+  const auto a = sa(w, 10, options);
+  const auto b = sa(w, 10, options);
   EXPECT_EQ(a.label, b.label);
 }
 
 TEST_F(AnnealingTest, EvaluationCountIsStepsPlusOne) {
   AnnealingOptions options;
   options.steps = 55;
-  const auto r = sa_.best({64, 64, 64}, 10, options);
+  const auto r = sa({64, 64, 64}, 10, options);
   EXPECT_EQ(r.evaluations, 56u);
 }
 
 TEST_F(AnnealingTest, BestNeverWorseThanReportedCycles) {
   const GemmWorkload w{999, 111, 444};
-  const auto r = sa_.best(w, 11);
-  EXPECT_EQ(r.cycles, exhaustive_.cycles_of(w, r.label));
+  const auto r = sa(w, 11);
+  EXPECT_EQ(r.cost, exhaustive_.cycles_of(w, r.label));
 }
 
 // ------------------------------------------------------------ objectives

@@ -11,11 +11,13 @@ namespace {
 
 class ReinforceTest : public ::testing::Test {
  protected:
-  ReinforceTest() : space_(12), exhaustive_(space_, sim_), rl_(space_, sim_) {}
+  ReinforceTest() : space_(12), exhaustive_(space_, sim_) {}
+  SearchResult rl(const GemmWorkload& w, int budget_exp, const ReinforceOptions& options = {}) const {
+    return reinforce_search(array_dataflow_env(space_, sim_, w, budget_exp), options);
+  }
   Simulator sim_;
   ArrayDataflowSpace space_;
   ArrayDataflowSearch exhaustive_;
-  ReinforceArrayDataflowSearch rl_;
 };
 
 TEST_F(ReinforceTest, FindsNearOptimalSolutions) {
@@ -26,9 +28,9 @@ TEST_F(ReinforceTest, FindsNearOptimalSolutions) {
     const auto opt = exhaustive_.best(w, 12);
     ReinforceOptions options;
     options.seed = static_cast<std::uint64_t>(trial) + 1;
-    const auto rl = rl_.best(w, 12, options);
-    EXPECT_LE(rl.cycles / opt.cycles, 1.3) << w.to_string();
-    EXPECT_GE(rl.cycles, opt.cycles);
+    const auto r = rl(w, 12, options);
+    EXPECT_LE(r.cost / opt.cycles, 1.3) << w.to_string();
+    EXPECT_GE(r.cost, opt.cycles);
   }
 }
 
@@ -37,7 +39,7 @@ TEST_F(ReinforceTest, RespectsBudget) {
   LogUniformGemmSampler sampler;
   for (int budget = 4; budget <= 12; budget += 2) {
     const GemmWorkload w = sampler.sample(rng);
-    const auto r = rl_.best(w, budget);
+    const auto r = rl(w, budget);
     EXPECT_LE(space_.config(r.label).macs(), MacCount{pow2(budget)});
   }
 }
@@ -46,24 +48,24 @@ TEST_F(ReinforceTest, DeterministicForSeed) {
   const GemmWorkload w{640, 320, 160};
   ReinforceOptions options;
   options.seed = 42;
-  const auto a = rl_.best(w, 10, options);
-  const auto b = rl_.best(w, 10, options);
+  const auto a = rl(w, 10, options);
+  const auto b = rl(w, 10, options);
   EXPECT_EQ(a.label, b.label);
-  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.cost, b.cost);
 }
 
 TEST_F(ReinforceTest, EvaluationCountMatchesBudget) {
   ReinforceOptions options;
   options.iterations = 7;
   options.batch = 9;
-  const auto r = rl_.best({100, 100, 100}, 10, options);
+  const auto r = rl({100, 100, 100}, 10, options);
   EXPECT_EQ(r.evaluations, 63u);
 }
 
 TEST_F(ReinforceTest, ReportedCyclesMatchLabel) {
   const GemmWorkload w{555, 444, 333};
-  const auto r = rl_.best(w, 11);
-  EXPECT_EQ(r.cycles, exhaustive_.cycles_of(w, r.label));
+  const auto r = rl(w, 11);
+  EXPECT_EQ(r.cost, exhaustive_.cycles_of(w, r.label));
 }
 
 TEST_F(ReinforceTest, MoreIterationsNeverHurtMuch) {
@@ -78,8 +80,8 @@ TEST_F(ReinforceTest, MoreIterationsNeverHurtMuch) {
     ReinforceOptions l;
     l.iterations = 20;
     l.seed = seed;
-    short_sum += static_cast<double>(rl_.best(w, 12, s).cycles.value());
-    long_sum += static_cast<double>(rl_.best(w, 12, l).cycles.value());
+    short_sum += rl(w, 12, s).cost / Cycles{1};
+    long_sum += rl(w, 12, l).cost / Cycles{1};
   }
   EXPECT_LE(long_sum, short_sum);
 }

@@ -5,20 +5,15 @@
 #
 #   tools/check.sh             # everything (slow: three full builds)
 #   tools/check.sh default     # just the Release build + full test suite
-#   tools/check.sh asan tsan   # any subset of: default bench arch serve
+#   tools/check.sh asan tsan   # any subset of: default arch serve
 #                              # asan tsan tidy capability
 #
-# The `bench` stage (in the default set; needs the default stage's build)
-# runs tiny-points smokes of bench_dataset_throughput — which asserts
-# cached and naive labels are identical before reporting, and (because
-# --snapshot-points/--writer-points default to --points) exercises a real
-# sweep-cache snapshot save→load→warm-regenerate and a binary dataset
-# write→read round trip per run — and validates the emitted JSON against
-# the shared schema gate (tools/validate_bench.py, also invoked by CI so
-# the two can't drift), which requires the snapshot section to report
-# labels_bit_identical for all three cases. (The naive-vs-fast training
-# trajectory contract is a tier-1 test: TrainingTrajectory in
-# tests/test_models.cpp.)
+# The dataset contracts are tier-1 tests that the default stage runs:
+# cached vs naive labels (Case{1,2,3}SweepCache.BitIdenticalToNaiveOn10kQueries),
+# warm vs cold snapshot generation
+# (SnapshotTest.StudyWarmGenerateIsBitIdenticalToCold), the binary dataset
+# round trip (BinaryIoTest) and the naive-vs-fast training trajectories
+# (TrainingTrajectory in tests/test_models.cpp).
 #
 # The `serve` stage (in the default set; shares the default stage's build
 # tree) smokes the batched recommender service end to end: bench_serve
@@ -50,7 +45,7 @@
 #
 # Failure reporting: `set -euo pipefail` plus an ERR trap that names the
 # failing stage on stderr, and a per-stage OK line after each stage.
-# pipefail matters here: stage commands that feed a pipe (bench smokes,
+# pipefail matters here: stage commands that feed a pipe (the serve smoke,
 # validators piped through tee/sed by callers) must still propagate a
 # non-zero exit — without it, `validator | tee log` would report tee's
 # exit status and a broken JSON schema could slide through green.
@@ -65,7 +60,7 @@ cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
 STAGES=("$@")
-if [ ${#STAGES[@]} -eq 0 ]; then STAGES=(default bench arch serve asan tsan); fi
+if [ ${#STAGES[@]} -eq 0 ]; then STAGES=(default arch serve asan tsan); fi
 
 CURRENT_STAGE="(startup)"
 PASSED_STAGES=()
@@ -97,22 +92,6 @@ for stage in "${STAGES[@]}"; do
       run cmake --preset checked
       run cmake --build build-checked -j "$JOBS"
       run ctest --test-dir build-checked --output-on-failure -j "$JOBS"
-      ;;
-    bench)
-      run cmake --preset checked
-      run cmake --build build-checked -j "$JOBS" --target bench_dataset_throughput
-      run ./build-checked/bench/bench_dataset_throughput \
-        --points=300 --reps=1 --out=build-checked/BENCH_dataset_smoke.json >/dev/null
-      if command -v python3 >/dev/null 2>&1; then
-        # Checked explicitly so a schema failure names the offending JSON
-        # instead of dying as an anonymous set -e exit.
-        if ! run python3 tools/validate_bench.py dataset build-checked/BENCH_dataset_smoke.json; then
-          echo "check.sh: bench JSON schema validation FAILED for: build-checked/BENCH_dataset_smoke.json" >&2
-          exit 1
-        fi
-      else
-        skip_or_fail python3 "bench JSON schema validation"
-      fi
       ;;
     serve)
       run cmake --preset checked
@@ -182,7 +161,7 @@ for stage in "${STAGES[@]}"; do
       run ctest --test-dir build-capability -L self_contained --output-on-failure -j "$JOBS"
       ;;
     *)
-      echo "unknown stage: $stage (want: default bench arch asan tsan tidy capability)" >&2
+      echo "unknown stage: $stage (want: default arch serve asan tsan tidy capability)" >&2
       exit 2
       ;;
   esac

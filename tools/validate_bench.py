@@ -7,8 +7,7 @@ drift). Checks structure and invariants, not performance numbers — speed
 regressions are judged by a human against the committed BENCH_*.json.
 
 Usage:
-    validate_bench.py dataset <BENCH_dataset*.json>
-    validate_bench.py serve   <BENCH_serve*.json> [--min-levels=N]
+    validate_bench.py serve <BENCH_serve*.json> [--min-levels=N]
 
 Exit status 0 iff the file parses and every schema invariant holds.
 """
@@ -28,39 +27,6 @@ def fail(msg):
 def require(cond, msg):
     if not cond:
         fail(msg)
-
-
-def validate_dataset(d):
-    require(d.get("bench") == "dataset_throughput", "bench != dataset_throughput")
-    require(len(d.get("results", [])) == 6, "expected 6 results (3 cases x naive/cached)")
-    for case in ("case1", "case2", "case3"):
-        require(case in d.get("speedup", {}), f"speedup missing {case}")
-    require(0.0 <= d.get("dup_fraction", -1.0) <= 1.0, "dup_fraction outside [0, 1]")
-    # Persistent-snapshot section: one cold-vs-warm entry per case. The bench
-    # asserts the warm (snapshot-restored) dataset is bit-identical to the
-    # cold one before it reports; a report with that flag unset must never
-    # pass even if it parses.
-    snapshot = d.get("snapshot", [])
-    require(len(snapshot) == 3, "expected 3 snapshot entries (one per case)")
-    seen = set()
-    for entry in snapshot:
-        case = entry.get("case")
-        require(case in ("case1", "case2", "case3"), f"snapshot has bad case {case!r}")
-        seen.add(case)
-        require(entry.get("points", 0) > 0, f"snapshot {case}: points must be positive")
-        require(entry.get("cold_seconds", 0) > 0, f"snapshot {case}: cold_seconds must be positive")
-        require(entry.get("warm_seconds", 0) > 0, f"snapshot {case}: warm_seconds must be positive")
-        require(entry.get("speedup", 0) > 0, f"snapshot {case}: speedup must be positive")
-        require(entry.get("labels_bit_identical") is True,
-                f"snapshot {case}: labels_bit_identical is not True")
-    require(len(seen) == 3, "snapshot entries must cover case1..case3")
-    # Binary-writer section: CSV vs fixed-width binary serialization of the
-    # same dataset, with a read-back round-trip asserted by the bench.
-    writer = d.get("writer", {})
-    require(writer.get("points", 0) > 0, "writer.points must be positive")
-    require(writer.get("csv_seconds", 0) > 0, "writer.csv_seconds must be positive")
-    require(writer.get("binary_seconds", 0) > 0, "writer.binary_seconds must be positive")
-    require(writer.get("speedup", 0) > 0, "writer.speedup must be positive")
 
 
 def validate_serve(d, min_levels):
@@ -107,7 +73,7 @@ def validate_serve(d, min_levels):
 def main(argv):
     args = [a for a in argv[1:] if not a.startswith("--")]
     flags = [a for a in argv[1:] if a.startswith("--")]
-    if len(args) != 2 or args[0] not in ("dataset", "serve"):
+    if len(args) != 2 or args[0] != "serve":
         print(__doc__, file=sys.stderr)
         return 2
     min_levels = 3
@@ -124,10 +90,7 @@ def main(argv):
     except (OSError, json.JSONDecodeError) as e:
         fail(f"cannot load {args[1]}: {e}")
 
-    if args[0] == "dataset":
-        validate_dataset(d)
-    else:
-        validate_serve(d, min_levels)
+    validate_serve(d, min_levels)
     print(f"validate_bench: {args[1]} ok ({args[0]} schema)")
     return 0
 
